@@ -50,6 +50,12 @@ class _Reader:
         self.pos += n
         return out
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not valid UTF-8") from exc
+
     def u8(self, what):
         return struct.unpack("<B", self.take(1, what))[0]
 
@@ -76,10 +82,10 @@ def load_checkpoint(path):
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
     step = r.u64("step")
-    config_text = r.take(r.u32("config length"), "config").decode("utf-8")
+    config_text = r.text(r.u32("config length"), "config")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32("tensor count")):
-        name = r.take(r.u16("name length"), "tensor name").decode("utf-8")
+        name = r.text(r.u16("name length"), "tensor name")
         rank = r.u8(f"rank of {name}")
         shape = tuple(r.u32(f"dims of {name}") for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1

@@ -75,7 +75,8 @@ def _restore_model(args, raw):
     if any(k.startswith("encoder.") for k in raw):
         encoder_cfg = encoder_from_flat(raw)
     else:
-        encoder_cfg = encoder_from_flat(parse_kv_text(config_text))
+        encoder_cfg = encoder_from_flat(
+            parse_kv_text(config_text, source=f"{args.checkpoint} config echo"))
     if "head.w" not in tensors:
         raise CheckpointError(f"{args.checkpoint}: no classification head found")
     num_labels = tensors["head.w"].shape[1]
@@ -88,8 +89,8 @@ def cmd_eval(args) -> int:
     raw = parse_kv_file(args.config)
     task = task_from_flat(raw)
     model, step = _restore_model(args, raw)
-    result = evaluate(model, task, num_batches=args.batches,
-                      batch_size=args.batch_size, seed=args.seed or 1234)
+    result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
+                      seed=1234 if args.seed is None else args.seed)
     lines = [f"checkpoint_step={step}", f"accuracy={result.accuracy:.4f}"]
     lines.extend(result.routing.lines())
     _emit(lines, _out_dir(args), "eval.txt")
@@ -114,8 +115,8 @@ def cmd_route_stats(args) -> int:
     raw = parse_kv_file(args.config)
     task = task_from_flat(raw)
     model, _ = _restore_model(args, raw)
-    lines = routing_stream(model, task, num_batches=args.batches,
-                           batch_size=args.batch_size, seed=args.seed or 1234)
+    lines = routing_stream(model, task, num_batches=args.batches, batch_size=args.batch_size,
+                           seed=1234 if args.seed is None else args.seed)
     _emit(lines, _out_dir(args), "route_stats.txt")
     return 0
 

@@ -191,25 +191,23 @@ encoder.adapter_groups       adapter groups (one per language)
 
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
-    out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    return parse_kv_text(text, source=str(path))
 
 
-def parse_kv_text(text: str) -> dict[str, str]:
+def parse_kv_text(text: str, source: str = "config text") -> dict[str, str]:
+    """Parse flat key=value lines; ``source`` names the text in error messages."""
     out: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

@@ -16,6 +16,7 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError
 
@@ -558,6 +559,18 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
     Inputs are (batch, heads, frames, head_dim); ``mask`` is a boolean
     (frames, frames) array, True where the query row may attend. MACs are
     tallied for allowed pairs only, matching a windowed streaming execution.
+
+    Only the diagonal band that holds every allowed pair is computed. With
+    ``left``/``right`` the farthest any row reaches behind/ahead of itself
+    and ``W = left + right + 1``, the queries go in blocks of W rows and
+    block n scores keys [nW - left, nW + W + right), zero-padded at both
+    ends: T * (W + left + right) pairs instead of T^2. Each block's mask is
+    gathered from ``mask`` itself, so a mask that is not a band stays exact.
+    When T <= W the band is the whole matrix: one block, keys [0, T), no
+    padding. Past that every block has the same shape whatever T is, and
+    the sums over keys (output and softmax normalizer, one contraction) run
+    in key order, so frames already emitted stay bit-identical when the
+    sequence grows, across the one-block / many-block boundary too.
     """
     if q.ndim != 4 or q.shape != k.shape or q.shape != v.shape:
         raise ParameterError(
@@ -567,30 +580,87 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
     b, h, t, dh = q.shape
     if mask.shape != (t, t):
         raise ParameterError(f"masked_attention: mask must be ({t}, {t}), got {mask.shape}")
-    if t and not mask.any(axis=1).all():
+    if not mask.any(axis=1).all():
         raise ParameterError("masked_attention: some query attends to nothing")
+    # first and last allowed key of each row (argmax needs at least one key)
+    frames = np.arange(t)
+    first = mask.argmax(axis=1) if t else frames
+    last = t - 1 - np.ascontiguousarray(mask[:, ::-1]).argmax(axis=1) if t else frames
+    left = int((frames - first).max(initial=0))
+    right = int((last - frames).max(initial=0))
+    w = left + right + 1
+    # blocks, rows per block, padding keys before the first row, keys per block
+    if t > w:
+        n, pad, span = -(-t // w), left, 2 * w - 1
+    else:
+        n, w, pad, span = 1, t, 0, t
+    rows, cols = n * w, (n - 1) * w + span  # padded query and key frames
+
+    def pad_frames(x: Array, before: int, total: int) -> Array:
+        if total == t:
+            return x
+        out = np.zeros((b, h, total, dh), dtype=x.dtype)
+        out[:, :, before : before + t] = x
+        return out
+
+    def diagonal_blocks(x: Array, shape, axis: int) -> Array:
+        # view whose block i starts w frames after block i-1 along ``axis``;
+        # axis 0 steps a (rows, cols) mask down its diagonal
+        if n == 1:
+            return np.expand_dims(x, axis)
+        s = x.strides
+        step = w * (s[0] + s[1]) if axis == 0 else w * s[axis]
+        return as_strided(x, shape, s[:axis] + (step,) + s[axis:], writeable=False)
+
+    def unblock(gx: Array) -> Array:
+        # gx holds per-block key gradients; block i's key j is padded frame
+        # i*w + j, so every key sits in two neighbouring blocks: one add each
+        if n == 1:
+            return gx[:, :, 0]
+        out = np.zeros((b, h, n + 1, w, dh), dtype=gx.dtype)
+        out[:, :, :n] += gx[:, :, :, :w]
+        out[:, :, 1:, : w - 1] += gx[:, :, :, w:]
+        return out.reshape(b, h, -1, dh)[:, :, pad : pad + t]
+
+    qb = pad_frames(q.data, 0, rows).reshape(b, h, n, w, dh)
+    kb = diagonal_blocks(pad_frames(k.data, pad, cols), (b, h, n, span, dh), 2)
+    # values carry a column of ones, so the one contraction over keys also
+    # yields each row's softmax normalizer, summed in the same key order;
+    # padding keys get weight exactly 0, so their (unit) values never count
+    values = np.ones((b, h, cols, dh + 1), dtype=v.dtype)
+    values[:, :, pad : pad + t, :dh] = v.data
+    vb = diagonal_blocks(values, (b, h, n, span, dh + 1), 2)
+    # padding query rows attend to their whole block so that their softmax
+    # stays finite; their outputs are dropped and their gradients are zero
+    padded = np.ones((rows, cols), dtype=bool)
+    padded[:t] = False
+    padded[:t, pad : pad + t] = mask
+    allowed = diagonal_blocks(padded, (n, w, span), 0)
+
     inv = float(1.0 / np.sqrt(dh))
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * inv
-    filled = np.where(mask, scores, -np.inf)
-    m = filled.max(axis=-1, keepdims=True) if t else filled
-    e = np.exp(filled - m) if t else np.zeros_like(filled)
-    # sequential-order contractions over the key axis keep already-emitted
-    # frames bit-identical when the sequence grows (BLAS regroups by length)
-    p = e / np.einsum("bhtk->bht", e)[..., None] if t else e
-    data = np.einsum("bhtk,bhkd->bhtd", p, v.data)
-    _tally(2 * b * h * dh * int(mask.sum()))
+    scores = np.matmul(qb, np.swapaxes(kb, -1, -2)) * inv
+    filled = np.where(allowed, scores, -np.inf)
+    e = np.exp(filled - filled.max(axis=-1, keepdims=True, initial=-np.inf))
+    # einsum sums over keys in order, so keys a row may not see (padding, or
+    # frames a longer sequence adds) contribute exact zeros wherever they sit
+    weighted = np.einsum("bhnwk,bhnkd->bhnwd", e, vb)
+    norm = weighted[..., dh:]
+    data = (weighted[..., :dh] / norm).reshape(b, h, rows, dh)[:, :, :t]
+    _tally(2 * b * h * dh * np.count_nonzero(mask))
 
     def backward(g: Array) -> None:
+        gb = pad_frames(g, 0, rows).reshape(b, h, n, w, dh)
+        p = e / norm
         if v.requires_grad:
-            _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+            _accum(v, unblock(np.matmul(np.swapaxes(p, -1, -2), gb)))
         if q.requires_grad or k.requires_grad:
-            gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gp = np.matmul(gb, np.swapaxes(vb[..., :dh], -1, -2))
             inner = (gp * p).sum(axis=-1, keepdims=True)
             gs = p * (gp - inner) * inv
             if q.requires_grad:
-                _accum(q, np.matmul(gs, k.data))
+                _accum(q, np.matmul(gs, kb).reshape(b, h, rows, dh)[:, :, :t])
             if k.requires_grad:
-                _accum(k, np.matmul(np.swapaxes(gs, -1, -2), q.data))
+                _accum(k, unblock(np.matmul(np.swapaxes(gs, -1, -2), qb)))
 
     return _make(data, (q, k, v), backward)
 

@@ -14,6 +14,14 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     mask: np.ndarray) -> np.ndarray:
+    """Scaled-dot-product attention over all T x T pairs; pairs outside
+    ``mask`` get zero weight. q/k/v are (..., T, dh), ``mask`` is (T, T)."""
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    return softmax_rows(np.where(mask, scores, -np.inf)) @ v
+
+
 def swish(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 

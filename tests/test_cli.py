@@ -1,10 +1,14 @@
 """CLI tests over the bundled example configs: every subcommand exits 0 on
 the happy path and 1 with a one-line diagnostic on errors."""
 
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from moeformer import cli
+from moeformer.checkpoint import FORMAT_VERSION, MAGIC, save_checkpoint
 from moeformer.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -79,6 +83,16 @@ def test_missing_config_is_single_line_error(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_non_utf8_config_is_single_line_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"encoder.feature_dim=\xff\n")
+    code = main(["train", "--config", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "UTF-8" in err
+
+
 def test_unknown_key_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(QUICK.read_text() + "encoder.bogus_key=1\n")
@@ -105,3 +119,43 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     code = main(["eval", "--config", str(QUICK), "--checkpoint", str(stub)])
     assert code == 1
     assert "truncated" in capsys.readouterr().err
+
+
+def test_seed_zero_is_passed_through(trained_dir, monkeypatch):
+    seeds = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "evaluate", spy(cli.evaluate))
+    monkeypatch.setattr(cli, "routing_stream", spy(cli.routing_stream))
+    checkpoint = str(trained_dir / "checkpoint.bin")
+    for command in ("eval", "route-stats"):
+        for extra in (["--seed", "0"], []):
+            code = main([command, "--config", str(QUICK), "--checkpoint", checkpoint,
+                         "--batches", "1", "--batch-size", "2"] + extra)
+            assert code == 0
+    assert seeds == [0, 1234, 0, 1234]
+
+
+def test_bad_config_echo_is_single_line_error(tmp_path, capsys):
+    # without encoder keys in --config, eval rebuilds the encoder from the echo
+    task_only = tmp_path / "task.cfg"
+    task_only.write_text("".join(
+        line for line in QUICK.read_text().splitlines(keepends=True)
+        if not line.startswith("encoder.")))
+    no_equals = tmp_path / "no_equals.bin"
+    save_checkpoint([("head.w", np.zeros((2, 2)))], no_equals,
+                    config_text="garbage-without-equals")
+    not_utf8 = tmp_path / "not_utf8.bin"
+    not_utf8.write_bytes(MAGIC + struct.pack("<IQI", FORMAT_VERSION, 0, 2) + b"\xff\xfe"
+                         + struct.pack("<I", 0))
+    for checkpoint, detail in ((no_equals, "expected key=value"), (not_utf8, "UTF-8")):
+        code = main(["eval", "--config", str(task_only), "--checkpoint", str(checkpoint)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert detail in err

@@ -1,6 +1,8 @@
 """Encoder tests: frontend contracts, layer oracle equivalence, streaming
 causality, right-context budgets, adapters, and build determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from moeformer.config import (
     EncoderConfig,
     FrontendConfig,
     InputBlockConfig,
+    encoder_from_flat,
+    parse_kv_file,
 )
 from moeformer.encoder import (
     build_encoder,
@@ -23,6 +27,8 @@ from moeformer.presets import desk_encoder
 from moeformer.tensor import Tensor
 
 import oracles
+
+DESK_BALANCE = Path(__file__).resolve().parent.parent / "configs" / "desk" / "balance.cfg"
 
 
 def tiny_config(rng=None, **overrides):
@@ -161,13 +167,21 @@ def test_moe_end_layer_matches_dense_two_expert_oracle():
 
 
 def test_causal_stack_prefix_stability():
-    cfg = tiny_config()
-    model = build_encoder(cfg, seed=9)
-    rng = np.random.default_rng(10)
-    raw = rng.standard_normal((40, cfg.frontend.feature_dim)).astype(np.float32)
-    short, _ = encoder_forward(model, raw[:24], mode="causal_only")
-    long, _ = encoder_forward(model, raw, mode="causal_only")
-    np.testing.assert_array_equal(short.data, long.data[: short.shape[0]])
+    # the tiny geometry's sequences fit in one attention block; the desk
+    # geometry streamed in 160-frame chunks runs attention over many blocks,
+    # and its 60-frame prefix is one block where the full forward has many
+    cases = [
+        (tiny_config(), 9, 40, [24]),
+        (encoder_from_flat(parse_kv_file(DESK_BALANCE)), 3, 640, [60, 160, 320, 480]),
+    ]
+    for cfg, seed, total, prefixes in cases:
+        model = build_encoder(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        raw = rng.standard_normal((total, cfg.frontend.feature_dim)).astype(np.float32)
+        long, _ = encoder_forward(model, raw, mode="causal_only")
+        for end in prefixes:
+            short, _ = encoder_forward(model, raw[:end], mode="causal_only")
+            np.testing.assert_array_equal(short.data, long.data[: short.shape[0]])
 
 
 def test_causal_stack_future_perturbation_exact():

@@ -32,6 +32,8 @@ from moeformer.tensor import (
 
 from fdiff import assert_grads_close
 
+import oracles
+
 
 def _param(rng, *shape, dtype=np.float64):
     return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
@@ -168,6 +170,30 @@ def test_masked_attention_future_perturbation_is_bit_exact():
     np.testing.assert_array_equal(base[0, :, :6], out[0, :, :6])
 
 
+def _band(t, left, right):
+    rows, cols = np.indices((t, t))
+    return (cols >= rows - left) & (cols <= rows + right)
+
+
+def _irregular_mask(rng, t):
+    """Holes and uneven per-row reach inside offsets [-6, 3]; no row is empty."""
+    rows, cols = np.indices((t, t))
+    mask = (cols - rows >= -6) & (cols - rows <= 3) & (rng.random((t, t)) < 0.4)
+    mask[np.arange(t), np.clip(np.arange(t) + rng.integers(-6, 4, t), 0, t - 1)] = True
+    return mask
+
+
+def test_masked_attention_matches_dense_oracle():
+    # T = 40 runs several query blocks, so block edges and padding are covered
+    rng = np.random.default_rng(6)
+    t = 40
+    for mask in (_band(t, 5, 2), _irregular_mask(rng, t)):
+        q, k, v = (rng.standard_normal((2, 3, t, 4)) for _ in range(3))
+        out = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+        np.testing.assert_allclose(out, oracles.masked_attention(q, k, v, mask),
+                                   rtol=0, atol=1e-12)
+
+
 def test_masked_softmax_rejects_fully_masked_row():
     with pytest.raises(ParameterError):
         masked_softmax(Tensor(np.zeros((2, 3))), np.array([[True, True, True],
@@ -277,18 +303,20 @@ def test_gradcheck_layer_norm_and_conv():
 
 def test_gradcheck_attention():
     rng = np.random.default_rng(44)
-    t, dh = 5, 3
-    q = _param(rng, 1, 2, t, dh)
-    k = _param(rng, 1, 2, t, dh)
-    v = _param(rng, 1, 2, t, dh)
-    rows, cols = np.indices((t, t))
-    mask = (cols <= rows) & (cols >= rows - 2)
+    dh = 3
+    # one block (T <= window), then T = 40 over several blocks whose key
+    # ranges overlap
+    for t, left, right in ((5, 2, 0), (40, 5, 2)):
+        q = _param(rng, 1, 2, t, dh)
+        k = _param(rng, 1, 2, t, dh)
+        v = _param(rng, 1, 2, t, dh)
+        mask = _band(t, left, right)
 
-    def loss_fn():
-        out = masked_attention(q, k, v, mask)
-        return mean(out * out)
+        def loss_fn():
+            out = masked_attention(q, k, v, mask)
+            return mean(out * out)
 
-    assert_grads_close(loss_fn, {"q": q, "k": k, "v": v})
+        assert_grads_close(loss_fn, {"q": q, "k": k, "v": v})
 
 
 def test_gradcheck_gather_scatter():
