@@ -175,27 +175,17 @@ class FFNBlock:
 
 
 class MoEBlock:
-    """Pre-normed expert-routed feed-forward behind a (default full) residual.
-
-    ``execution`` selects the sparse gather/scatter path (only the two chosen
-    experts run) or the dense path (all experts run, non-selected
-    contributions zeroed); the two are numerically equivalent.
-    """
+    """Pre-normed expert-routed feed-forward behind a (default full) residual."""
 
     def __init__(self, ln: _Norm, moe: MoELayer, residual_scale: float):
         self.ln = ln
         self.moe = moe
         self.residual_scale = residual_scale
-        self.execution = "sparse"
 
     def __call__(self, x: Tensor) -> tuple[Tensor, RoutingDecision]:
         b, t, d = x.shape
         h = self.ln(x)
-        flat = T.reshape(h, (b * t, d))
-        if self.execution == "dense":
-            y, decision = self.moe.forward_dense(flat)
-        else:
-            y, decision = self.moe.forward(flat)
+        y, decision = self.moe.forward(T.reshape(h, (b * t, d)))
         y = T.reshape(y, (b, t, d))
         if self.residual_scale != 1.0:
             y = y * self.residual_scale

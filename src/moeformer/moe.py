@@ -115,46 +115,32 @@ class MoELayer:
     def forward(self, x: Tensor) -> tuple[Tensor, RoutingDecision]:
         """Route each frame through its two selected experts only.
 
-        Frames are gathered per expert, run through that expert's FFN in one
-        batch, scaled by their gate probability, and scattered back; experts
-        that no frame selected never execute (and receive no gradient).
+        One grouped dispatch: a stable sort of the (frame, slot) expert ids
+        puts each expert's frames in one contiguous run, in ascending frame
+        order; one gather builds the sorted input, each selected expert runs
+        its run in one batch, and one inverse gather brings the outputs back
+        to (frame, slot) order, where they are scaled by their gate
+        probability and the two slots summed. Experts that no frame selected
+        never execute (and receive no gradient).
         """
         gates = self.gate(x)
         decision = route_top2(gates)
         frames = decision.num_frames
-        y: Tensor | None = None
-        for i in range(self.num_experts):
-            rows = np.nonzero(
-                (decision.top2_idx[:, 0] == i) | (decision.top2_idx[:, 1] == i)
-            )[0]
-            if rows.size == 0:
-                continue
-            self.evaluations += int(rows.size)
-            out = self.experts[i].forward(T.take_rows(x, rows))
-            weight = T.reshape(T.take_entries(gates, rows, np.full(rows.size, i)), (-1, 1))
-            contribution = T.scatter_rows(out * weight, rows, frames)
-            y = contribution if y is None else y + contribution
-        if y is None:  # zero frames
-            y = T.Tensor(np.zeros_like(x.data))
-        return y, decision
-
-    def forward_dense(self, x: Tensor) -> tuple[Tensor, RoutingDecision]:
-        """Dense execution: every expert runs on every frame; contributions of
-        non-selected experts are zeroed. Numerically equal to ``forward`` and
-        used when the layer degenerates to a dense mixture (2 experts)."""
-        gates = self.gate(x)
-        decision = route_top2(gates)
-        selected = np.zeros((decision.num_frames, self.num_experts), dtype=x.dtype)
-        np.put_along_axis(selected, decision.top2_idx, 1.0, axis=1)
-        y: Tensor | None = None
-        for i in range(self.num_experts):
-            self.evaluations += decision.num_frames
-            out = self.experts[i].forward(x)
-            weight = T.slice_axis(gates, 1, i, i + 1) * Tensor(selected[:, i : i + 1])
-            term = out * weight
-            y = term if y is None else y + term
-        assert y is not None
-        return y, decision
+        if frames == 0:
+            return T.Tensor(np.zeros_like(x.data)), decision
+        order = np.argsort(decision.top2_idx.reshape(-1), kind="stable")
+        grouped = T.take_rows(x, order // 2)
+        ends = np.cumsum(decision.counts)
+        outs = []
+        for i in np.flatnonzero(decision.counts):
+            start = ends[i] - decision.counts[i]
+            self.evaluations += int(decision.counts[i])
+            outs.append(self.experts[i].forward(T.slice_axis(grouped, 0, start, ends[i])))
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        out = T.reshape(T.take_rows(T.concat(outs, axis=0), inverse), (frames, 2, -1))
+        weight = T.reshape(decision.top2_gates, (frames, 2, 1))
+        return T.sum_(out * weight, axis=1), decision
 
 
 def route_top2(gates: Tensor) -> RoutingDecision:
@@ -225,11 +211,6 @@ def over_capacity_ratio(decision: RoutingDecision, capacity_factor: float = 1.0)
     threshold = capacity_factor * 2.0 * s / n
     ratios = np.maximum(0.0, decision.counts - threshold) / max(s, 1)
     return CapacityStats(ratios=ratios, threshold=threshold, num_frames=s)
-
-
-def moe_forward(x: Tensor, layer: MoELayer) -> tuple[Tensor, RoutingDecision]:
-    """Full pipeline: gate, top-2 route, run only the selected experts, combine."""
-    return layer.forward(x)
 
 
 def routing_records(layer_index: int, decision: RoutingDecision,

@@ -59,6 +59,23 @@ def _tally(n: int) -> None:
             c.add(n)
 
 
+_no_grad_depth = 0
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Context manager under which ops record no graph: outputs carry no
+    parents and no backward rule, so nothing is kept alive for a backward
+    pass. For inference only; ``backward`` cannot reach through such outputs.
+    Nests, and recording resumes on exit even when the body raises."""
+    global _no_grad_depth
+    _no_grad_depth += 1
+    try:
+        yield
+    finally:
+        _no_grad_depth -= 1
+
+
 # --------------------------------------------------------------------------
 # tensor core
 
@@ -178,7 +195,7 @@ def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], None]) -> Tensor:
     # constant-fold: subgraphs with no trainable leaves record no parents
-    if not any(p.requires_grad for p in parents):
+    if _no_grad_depth or not any(p.requires_grad for p in parents):
         return Tensor(data)
     out = Tensor(data, requires_grad=True)
     out._parents = parents
@@ -258,11 +275,27 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, numpy broadcasting rules.
+
+    A left operand holding exactly one row against a 2-D ``b`` is computed as
+    row 0 of a two-row product: on its own, OpenBLAS sends it down the gemv
+    path, which rounds differently from the same row inside a larger gemm
+    (an expert that receives one routed frame, a one-frame streaming prefix).
+    This makes a lone row match its value in a taller product only where
+    the BLAS row results do not depend on M for M >= 2; with OpenBLAS that
+    holds at the desk encoder's widths (96<->384, 64<->256, 96->96, 64->64)
+    but not for wider inner dimensions (at 576->144, M <= 12 differs from
+    M = 64).
+    """
     if a.ndim < 1 or b.ndim < 2:
         raise ParameterError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ParameterError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    if b.ndim == 2 and a.size == a.shape[-1]:
+        pair = np.repeat(a.data.reshape(1, -1), 2, axis=0)
+        data = np.matmul(pair, b.data)[0].reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        data = np.matmul(a.data, b.data)
     _tally(data.size * a.shape[-1])
 
     def backward(g: Array) -> None:

@@ -1,12 +1,16 @@
 """Independent numpy reference implementations used as test oracles.
 
 Everything here is written against raw arrays, deliberately sharing no code
-with the package's graph ops.
+with the package's graph ops, except ``dense_moe_forward``: that one is built
+from tensor ops so that a model running it still trains.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from moeformer import tensor as T
+from moeformer.moe import route_top2
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -48,6 +52,27 @@ def dense_zeroed_mixture(x: np.ndarray, gate_w: np.ndarray, experts) -> np.ndarr
     for i, weights in enumerate(experts):
         y = y + (gates[:, i] * selected[:, i])[:, None] * expert_ffn(x, *weights)
     return y
+
+
+def dense_moe_forward(layer, x):
+    """Dense execution of ``MoELayer.forward``: every expert runs on every
+    frame and the contributions of non-selected experts are zeroed.
+
+    Same signature and return as the routed forward, so tests install it in
+    its place (``monkeypatch.setattr(MoELayer, "forward", dense_moe_forward)``)
+    to train a twin model on the dense path.
+    """
+    gates = layer.gate(x)
+    decision = route_top2(gates)
+    selected = np.zeros((decision.num_frames, layer.num_experts), dtype=x.dtype)
+    np.put_along_axis(selected, decision.top2_idx, 1.0, axis=1)
+    y = None
+    for i, expert in enumerate(layer.experts):
+        layer.evaluations += decision.num_frames
+        weight = T.slice_axis(gates, 1, i, i + 1) * T.Tensor(selected[:, i : i + 1])
+        term = expert.forward(x) * weight
+        y = term if y is None else y + term
+    return y, decision
 
 
 def brute_force_aux_loss(gates: np.ndarray) -> float:

@@ -26,7 +26,6 @@ from moeformer.evaluation import compare_adapter_vs_moe, evaluate
 from moeformer.moe import (
     MoELayer,
     aux_load_balance_loss,
-    moe_forward,
     over_capacity_ratio,
     route_top2,
 )
@@ -224,7 +223,7 @@ def _random_moe_layer(rng, d, n, mult=2):
     return MoELayer(p(d, n), experts)
 
 
-def test_criterion_5_sparse_dense_equivalence():
+def test_criterion_5_sparse_dense_equivalence(monkeypatch):
     rng = np.random.default_rng(505)
     worst = 0.0
     for _ in range(100):
@@ -232,7 +231,7 @@ def test_criterion_5_sparse_dense_equivalence():
         n = int(rng.integers(2, 7))
         layer = _random_moe_layer(rng, d, n)
         x = Tensor(rng.standard_normal((int(rng.integers(1, 25)), d)))
-        y, _ = moe_forward(x, layer)
+        y, _ = layer.forward(x)
         expected = oracles.dense_zeroed_mixture(
             x.data, layer.gate_w.data,
             [(e.w1.data, e.b1.data, e.w2.data, e.b2.data) for e in layer.experts],
@@ -241,8 +240,6 @@ def test_criterion_5_sparse_dense_equivalence():
     ok_forward = worst < 1e-6
 
     # 500-step twin training: two-expert sparse routing vs dense mixture
-    from moeformer import training as tr
-
     task = SyntheticTaskSpec(num_languages=2, feature_dim=8, tokens_per_language=4,
                              shared_tokens=1, min_tokens=4, max_tokens=6,
                              frames_per_token=4, noise_scale=0.2, seed=0)
@@ -252,25 +249,14 @@ def test_criterion_5_sparse_dense_equivalence():
     cfg = TrainConfig(steps=500, batch_size=4, lr=2e-3, seed=9, dtype="float64",
                       aux_weight=0.0)
 
-    def run(execution):
-        original = tr.build_model
-
-        def patched(config, num_labels, seed, dtype=np.float32):
-            m = original(config, num_labels, seed, dtype)
-            for layer in m.encoder.non_causal_layers:
-                for block in layer.moe_blocks():
-                    block.execution = execution
-            return m
-
-        tr.build_model = patched
-        try:
-            _, metrics = tr.train(enc, task, cfg)
-        finally:
-            tr.build_model = original
+    def run():
+        _, metrics = train(enc, task, cfg)
         return np.array([m["loss"] for m in metrics])
 
-    sparse_losses = run("sparse")
-    dense_losses = run("dense")
+    sparse_losses = run()
+    with monkeypatch.context() as m:
+        m.setattr(MoELayer, "forward", oracles.dense_moe_forward)
+        dense_losses = run()
     max_step_diff = float(np.abs(sparse_losses - dense_losses).max())
     ok_twin = max_step_diff < 1e-5
     report(5, ok_forward and ok_twin,

@@ -169,10 +169,11 @@ def test_moe_end_layer_matches_dense_two_expert_oracle():
 def test_causal_stack_prefix_stability():
     # the tiny geometry's sequences fit in one attention block; the desk
     # geometry streamed in 160-frame chunks runs attention over many blocks,
-    # and its 60-frame prefix is one block where the full forward has many
+    # its 60-frame prefix is one block where the full forward has many, and
+    # its 4-frame prefix is one encoder frame (every matmul has one row)
     cases = [
         (tiny_config(), 9, 40, [24]),
-        (encoder_from_flat(parse_kv_file(DESK_BALANCE)), 3, 640, [60, 160, 320, 480]),
+        (encoder_from_flat(parse_kv_file(DESK_BALANCE)), 3, 640, [4, 60, 160, 320, 480]),
     ]
     for cfg, seed, total, prefixes in cases:
         model = build_encoder(cfg, seed=seed)

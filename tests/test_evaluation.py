@@ -6,6 +6,7 @@ import pytest
 
 from moeformer import ConfigError
 from moeformer.config import AdapterConfig
+from moeformer.encoder import EncoderModel
 from moeformer.evaluation import (
     compare_adapter_vs_moe,
     evaluate,
@@ -16,7 +17,7 @@ from moeformer.moe import MoELayer, route_top2
 from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec, generators_for
 from moeformer.tensor import Tensor
-from moeformer.training import TrainConfig, build_model, train
+from moeformer.training import TrainConfig, TrainedModel, build_model, train
 
 
 def micro_encoder(**overrides):
@@ -99,6 +100,33 @@ def test_load_fractions_sum_to_two_and_counter_matches():
     assert result.routing.activated_evaluations == expected
 
 
+def test_evaluate_is_tape_free_and_matches_taped_forward(monkeypatch):
+    task = micro_task()
+    model = build_model(micro_encoder(num_experts=3), task.num_labels, seed=5)
+    logits = TrainedModel.logits
+    calls = []
+
+    def recording(self, features, language_ids=None, collect_routing=False):
+        out = logits(self, features, language_ids, collect_routing)
+        calls.append((features, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(TrainedModel, "logits", recording)
+        evaluate(model, task, num_batches=2, batch_size=4)
+    assert len(calls) == 2
+    assert all(p.grad is None for _, p in model.parameters())
+    for feats, (out, decisions) in calls:
+        assert out._parents == () and out._backward is None
+        taped, taped_decisions = model.logits(feats, collect_routing=True)
+        assert taped._parents
+        np.testing.assert_array_equal(out.data, taped.data)
+        assert len(decisions) == len(taped_decisions) == 2
+        for a, b in zip(decisions, taped_decisions):
+            np.testing.assert_array_equal(a.top2_idx, b.top2_idx)
+            np.testing.assert_array_equal(a.gates.data, b.gates.data)
+
+
 def test_routing_stream_lines():
     task = micro_task()
     model = build_model(micro_encoder(), task.num_labels, seed=2)
@@ -152,6 +180,24 @@ def test_compare_runs_and_reports():
     assert len(report.moe_routing.layers) == 2
     text = "\n".join(report.lines())
     assert "adapter.accuracy=" in text and "moe.accuracy=" in text
+
+
+def test_compare_language_id_ablation_can_fail(monkeypatch):
+    # an expert-routed model that does read the ids it is handed is caught
+    forward = EncoderModel.forward
+
+    def id_dependent(self, features, mode="cascaded", language_ids=None,
+                     collect_routing=False):
+        if self.config.adapters is None and language_ids is not None:
+            features = features + np.asarray(language_ids, dtype=features.dtype)[:, None, None]
+        return forward(self, features, mode, language_ids, collect_routing)
+
+    monkeypatch.setattr(EncoderModel, "forward", id_dependent)
+    adapter_cfg, moe_cfg = paired_configs()
+    cfg = TrainConfig(steps=2, batch_size=4, seed=4)
+    report = compare_adapter_vs_moe(micro_task(), adapter_cfg, moe_cfg, cfg,
+                                    eval_batches=2, eval_batch_size=4)
+    assert not report.language_id_independent
 
 
 def test_compare_rejects_mismatched_budgets():

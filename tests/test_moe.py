@@ -12,7 +12,6 @@ from moeformer.moe import (
     RoutingDecision,
     aux_load_balance_loss,
     combine,
-    moe_forward,
     over_capacity_ratio,
     route_top2,
     routing_records,
@@ -42,6 +41,20 @@ def make_layer(rng, model_dim, num_experts, mult=2, dtype=np.float64, zero_gate=
 
 def expert_arrays(layer):
     return [(e.w1.data, e.b1.data, e.w2.data, e.b2.data) for e in layer.experts]
+
+
+def lopsided_case(rng, frames=9):
+    """A 5-expert layer and an input on which expert 2 gets exactly one frame
+    and experts 3 and 4 get none."""
+    layer = make_layer(rng, 5, 5)
+    gate = np.zeros((5, 5))
+    gate[0, :3] = (3.0, 2.0, -1.0)
+    gate[1, :3] = (3.0, -1.0, 2.0)
+    layer.gate_w = Tensor(gate, requires_grad=True)
+    x = 0.01 * rng.standard_normal((frames, 5))
+    x[:-1, 0] += 4.0
+    x[-1, 1] += 4.0
+    return layer, Tensor(x)
 
 
 # --------------------------------------------------------------------------
@@ -285,16 +298,21 @@ def test_moe_forward_matches_dense_zeroed_oracle():
         n = int(rng.integers(2, 7))
         layer = make_layer(rng, d_model, n)
         x = Tensor(rng.standard_normal((int(rng.integers(1, 30)), d_model)))
-        y, _ = moe_forward(x, layer)
+        y, _ = layer.forward(x)
         expected = oracles.dense_zeroed_mixture(x.data, layer.gate_w.data, expert_arrays(layer))
         np.testing.assert_allclose(y.data, expected, atol=1e-6)
+    layer, x = lopsided_case(rng)
+    y, d = layer.forward(x)
+    np.testing.assert_array_equal(d.counts, [9, 8, 1, 0, 0])
+    expected = oracles.dense_zeroed_mixture(x.data, layer.gate_w.data, expert_arrays(layer))
+    np.testing.assert_allclose(y.data, expected, atol=1e-6)
 
 
 def test_moe_forward_two_experts_is_dense_weighted_sum():
     rng = np.random.default_rng(10)
     layer = make_layer(rng, 6, 2)
     x = Tensor(rng.standard_normal((12, 6)))
-    y, d = moe_forward(x, layer)
+    y, d = layer.forward(x)
     assert np.all(d.counts == 12)  # both experts active on every frame
     gates = oracles.softmax_rows(x.data @ layer.gate_w.data)
     arrays = expert_arrays(layer)
@@ -309,7 +327,12 @@ def test_moe_forward_sparse_equals_dense_execution():
     layer = make_layer(rng, 5, 4)
     x = Tensor(rng.standard_normal((20, 5)))
     y_sparse, _ = layer.forward(x)
-    y_dense, _ = layer.forward_dense(x)
+    y_dense, _ = oracles.dense_moe_forward(layer, x)
+    np.testing.assert_allclose(y_sparse.data, y_dense.data, atol=1e-10)
+    layer, x = lopsided_case(rng)
+    y_sparse, d = layer.forward(x)
+    np.testing.assert_array_equal(d.counts, [9, 8, 1, 0, 0])
+    y_dense, _ = oracles.dense_moe_forward(layer, x)
     np.testing.assert_allclose(y_sparse.data, y_dense.data, atol=1e-10)
 
 
@@ -319,7 +342,7 @@ def test_execution_counter_two_per_frame():
         layer = make_layer(rng, 4, n)
         layer.reset_evaluations()
         frames = 17
-        moe_forward(Tensor(rng.standard_normal((frames, 4))), layer)
+        layer.forward(Tensor(rng.standard_normal((frames, 4))))
         assert layer.evaluations == 2 * frames
 
 
@@ -327,7 +350,7 @@ def test_combined_output_invariant_under_gate_logit_shift():
     rng = np.random.default_rng(13)
     layer = make_layer(rng, 6, 4)
     x = Tensor(rng.standard_normal((8, 6)))
-    y1, d1 = moe_forward(x, layer)
+    y1, d1 = layer.forward(x)
     bias_row = Tensor(np.full((1, 4), 9.25))
     # adding a constant to every gate logit leaves softmax, hence routing, alone
     original_gate = layer.gate
@@ -335,7 +358,7 @@ def test_combined_output_invariant_under_gate_logit_shift():
         __import__("moeformer.tensor", fromlist=["matmul"]).matmul(inp, layer.gate_w) + bias_row,
         axis=1,
     )
-    y2, d2 = moe_forward(x, layer)
+    y2, d2 = layer.forward(x)
     layer.gate = original_gate
     np.testing.assert_array_equal(d1.top2_idx, d2.top2_idx)
     np.testing.assert_allclose(y1.data, y2.data, atol=1e-6)
@@ -356,7 +379,7 @@ def test_non_selected_experts_get_zero_gradient():
     layer.gate_w = Tensor(gate, requires_grad=True)
     # positive inputs keep the saturated gate columns on top for every frame
     x = Tensor(np.abs(rng.standard_normal((10, d_model))) + 0.1)
-    y, d = moe_forward(x, layer)
+    y, d = layer.forward(x)
     assert set(np.unique(d.top2_idx)) == {0, 1}
     mean(y * y).backward()
     for i in (0, 1):
@@ -372,7 +395,7 @@ def test_partial_selection_gradient_sparsity():
     rng = np.random.default_rng(15)
     layer = make_layer(rng, 4, 5)
     x = Tensor(rng.standard_normal((30, 4)))
-    y, d = moe_forward(x, layer)
+    y, d = layer.forward(x)
     sum_(y * y).backward()
     used = set(np.unique(d.top2_idx))
     for i, expert in enumerate(layer.experts):
@@ -390,7 +413,7 @@ def test_partial_selection_gradient_sparsity():
 def test_routing_records_format():
     rng = np.random.default_rng(16)
     layer = make_layer(rng, 4, 3)
-    _, d = moe_forward(Tensor(rng.standard_normal((9, 4))), layer)
+    _, d = layer.forward(Tensor(rng.standard_normal((9, 4))))
     lines = routing_records(2, d, capacity_factor=1.0)
     assert len(lines) == 3
     for i, line in enumerate(lines):

@@ -15,6 +15,7 @@ from moeformer.tensor import (
     masked_softmax,
     matmul,
     mean,
+    no_grad,
     reshape,
     scatter_rows,
     sigmoid,
@@ -131,6 +132,22 @@ def test_matmul_identity():
 def test_matmul_shape_mismatch():
     with pytest.raises(ParameterError):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def test_matmul_one_row_matches_row_of_taller_product():
+    # alone, a one-row operand takes the BLAS gemv path, which rounds
+    # differently from the same row inside a gemm
+    rng = np.random.default_rng(21)
+    for k, n in ((256, 1024), (144, 144)):
+        a = rng.standard_normal((7, k)).astype(np.float32)
+        b = Tensor(rng.standard_normal((k, n)).astype(np.float32))
+        full = matmul(Tensor(a), b).data
+        for row in (a[:1], a[0], a[:1].reshape(1, 1, k)):
+            with count_macs() as c:
+                out = matmul(Tensor(row), b)
+            assert out.shape == row.shape[:-1] + (n,)
+            assert c.total == k * n
+            np.testing.assert_array_equal(out.data.reshape(-1), full[0])
 
 
 def test_layer_norm_constant_vector_is_zero_before_affine():
@@ -257,6 +274,26 @@ def test_diamond_graph_accumulates_once_per_path():
     y = x + x  # two paths to x
     y.backward()
     assert float(x.grad) == 2.0
+
+
+def test_no_grad_records_nothing_nests_and_restores():
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    taped = matmul(x, w)
+    with no_grad():
+        with no_grad():
+            inner = matmul(x, w)
+        outer = swish(matmul(x, w))
+    for out in (inner, outer):
+        assert out._parents == () and out._backward is None and not out.requires_grad
+    np.testing.assert_array_equal(inner.data, taped.data)
+    with pytest.raises(ParameterError):
+        with no_grad():
+            matmul(x, x)
+    after = matmul(x, w)
+    assert after._parents == (x, w) and after._backward is not None
+    sum_(after).backward()
+    np.testing.assert_array_equal(w.grad, np.repeat(x.data.sum(axis=0)[:, None], 2, axis=1))
 
 
 def test_grad_not_tracked_for_constants():

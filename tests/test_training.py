@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moeformer import ConfigError, TrainingDiverged
+from moeformer.moe import MoELayer
 from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec
 from moeformer.training import (
@@ -14,6 +15,8 @@ from moeformer.training import (
     train,
     write_metrics,
 )
+
+import oracles
 
 
 def micro_encoder(**overrides):
@@ -75,40 +78,24 @@ def test_single_language_single_pair_learns_below_uniform_loss():
     assert min(m["step"] for m in metrics if m["loss"] < uniform) <= 500
 
 
-def test_two_expert_routing_equals_dense_mixture_training():
-    # identical seeds, one model on the sparse path and one on the dense path:
-    # per-step losses agree to 1e-5 (64-bit run keeps drift out of the check)
+def test_two_expert_routing_equals_dense_mixture_training(monkeypatch):
+    # identical seeds, one model on the routed path and one on the dense
+    # oracle path: per-step losses agree to 1e-5 (64-bit run keeps drift out
+    # of the check)
     task = micro_task()
     enc = micro_encoder()
     steps = 60
 
-    def run(execution):
+    def run():
         cfg = TrainConfig(steps=steps, batch_size=2, seed=5, dtype="float64",
                           aux_weight=0.0)
-        model = None
-        losses = []
-
-        # train() builds its own model, so hook execution mode via a wrapper
-        from moeformer import training as tr
-
-        original_build = tr.build_model
-
-        def patched(config, num_labels, seed, dtype=np.float32):
-            m = original_build(config, num_labels, seed, dtype)
-            for layer in m.encoder.non_causal_layers:
-                for block in layer.moe_blocks():
-                    block.execution = execution
-            return m
-
-        tr.build_model = patched
-        try:
-            model, metrics = tr.train(enc, task, cfg)
-        finally:
-            tr.build_model = original_build
+        _, metrics = train(enc, task, cfg)
         return [m["loss"] for m in metrics]
 
-    sparse_losses = run("sparse")
-    dense_losses = run("dense")
+    sparse_losses = run()
+    with monkeypatch.context() as m:
+        m.setattr(MoELayer, "forward", oracles.dense_moe_forward)
+        dense_losses = run()
     for a, b in zip(sparse_losses, dense_losses):
         assert abs(a - b) < 1e-5
 
