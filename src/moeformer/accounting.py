@@ -10,9 +10,9 @@ with instrumented forward passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .config import ConformerLayerConfig, EncoderConfig
+from .config import ConformerLayerConfig, EncoderConfig, plan
 
 
 @dataclass
@@ -69,10 +69,9 @@ def _conv_module_params(d: int, kernel: int) -> int:
 def _layer_counts(cfg: ConformerLayerConfig, stack: ComponentCount,
                   gates: ComponentCount, experts: ComponentCount) -> None:
     d = cfg.model_dim
-    for placed_here in (cfg.moe_placement in ("start", "both"),
-                        cfg.moe_placement in ("end", "both")):
+    for routed in cfg.moe_sites:
         stack.add(_norm_params(d))  # the sublayer's pre-norm
-        if not placed_here:
+        if not routed:
             stack.add(_ffn_params(d, cfg.ffn_mult))
         else:
             gates.add(d * cfg.num_experts)
@@ -81,24 +80,6 @@ def _layer_counts(cfg: ConformerLayerConfig, stack: ComponentCount,
     stack.add(_attention_params(d))
     stack.add(_conv_module_params(d, cfg.conv_kernel))
     stack.add(_norm_params(d))  # closing norm
-
-
-def _walk_projections(config: EncoderConfig):
-    """Yield (stage, in_dim, out_dim) for every width-matching projection the
-    builder inserts; ``stage`` is 'causal' or 'non_causal'."""
-    width = config.input_block.out_dim
-    for i, layer in enumerate(config.causal):
-        if i == config.stack_after:
-            width *= 2
-        if width != layer.model_dim:
-            yield "causal", width, layer.model_dim
-        width = layer.model_dim
-    if config.stack_after == len(config.causal):
-        width *= 2
-    for layer in config.resolved_non_causal():
-        if width != layer.model_dim:
-            yield "non_causal", width, layer.model_dim
-        width = layer.model_dim
 
 
 def count_params(config: EncoderConfig) -> ParamReport:
@@ -113,16 +94,11 @@ def count_params(config: EncoderConfig) -> ParamReport:
     components["frontend"].add(_linear_params(fe.stacked_dim, ib.out_dim))
     components["frontend"].add(ib.num_convs * (ib.kernel * ib.out_dim**2 + ib.out_dim))
 
-    for stage, d_in, d_out in _walk_projections(config):
-        bucket = "causal_stack" if stage == "causal" else "non_causal_stack"
-        components[bucket].add(_linear_params(d_in, d_out))
-
-    for layer in config.causal:
-        _layer_counts(layer, components["causal_stack"],
-                      components["gates"], components["experts"])
-    for layer in config.resolved_non_causal():
-        _layer_counts(layer, components["non_causal_stack"],
-                      components["gates"], components["experts"])
+    for stage in plan(config):
+        bucket = components["causal_stack" if stage.layer.causal else "non_causal_stack"]
+        if stage.proj is not None:
+            bucket.add(_linear_params(*stage.proj))
+        _layer_counts(stage.layer, bucket, components["gates"], components["experts"])
 
     if config.adapters is not None:
         a = config.adapters
@@ -138,19 +114,38 @@ def count_params(config: EncoderConfig) -> ParamReport:
 # multiply-accumulate accounting
 
 
-def _layer_macs_per_frame(cfg: ConformerLayerConfig, dense: bool) -> int:
+def _layer_macs(cfg: ConformerLayerConfig, frames: int, pairs: int, dense: bool) -> int:
+    """MACs of one Conformer layer over ``frames`` frames whose attention
+    scores ``pairs`` (query, key) pairs."""
     d = cfg.model_dim
-    window = cfg.left_context + 1 + cfg.right_context  # steady-state
     macs = 0
-    for placed_here in (cfg.moe_placement in ("start", "both"),
-                        cfg.moe_placement in ("end", "both")):
-        if not placed_here:
-            macs += 2 * cfg.ffn_mult * d * d
+    for routed in cfg.moe_sites:
+        if not routed:
+            macs += frames * 2 * cfg.ffn_mult * d * d
         else:
             active = cfg.num_experts if dense else 2
-            macs += d * cfg.num_experts + active * 2 * cfg.expert_mult * d * d
-    macs += 4 * d * d + 2 * window * d          # attention projections + windowed scores
-    macs += 3 * d * d + cfg.conv_kernel * d     # conv module
+            macs += frames * (d * cfg.num_experts + active * 2 * cfg.expert_mult * d * d)
+    macs += frames * 4 * d * d + 2 * d * pairs     # attention projections + scores
+    macs += frames * (3 * d * d + cfg.conv_kernel * d)  # conv module
+    return macs
+
+
+def _encoder_macs(config: EncoderConfig, dense: bool, frames, pairs,
+                  causal_only: bool = False) -> int:
+    """Input block plus every planned stage: ``frames(rate)`` is the frame
+    count at a stage's rate, ``pairs(frames, layer)`` its attention pairs."""
+    config.validate()
+    fe, ib = config.frontend, config.input_block
+    macs = frames(2) * (fe.stacked_dim * ib.out_dim + ib.num_convs * ib.kernel * ib.out_dim**2)
+    for stage in plan(config):
+        if causal_only and not stage.layer.causal:
+            break
+        n = frames(stage.rate)
+        if stage.proj is not None:
+            macs += n * stage.proj[0] * stage.proj[1]
+        macs += _layer_macs(stage.layer, n, pairs(n, stage.layer), dense)
+        if config.adapters is not None and not stage.layer.causal:
+            macs += n * 2 * stage.layer.model_dim * config.adapters.dim
     return macs
 
 
@@ -158,43 +153,22 @@ def flops_per_frame(config: EncoderConfig, dense: bool | None = None):
     """Steady-state multiply-accumulates per final output frame.
 
     Returns (sparse, dense_equivalent): sparse evaluates 2 experts per routed
-    layer, dense evaluates all N. Layers ahead of the time-stacking step run
-    at twice the output frame rate and are weighted accordingly.
+    layer, dense evaluates all N. The input block and layers ahead of the
+    time-stacking step run at twice the output frame rate and are weighted
+    accordingly; attention scores a full window per frame.
     """
     if dense is None:
         return (flops_per_frame(config, dense=False),
                 flops_per_frame(config, dense=True))
-    config.validate()
-    fe, ib = config.frontend, config.input_block
-    # the input block always precedes the stacking step, so it runs at 2x
-    macs = 2 * (fe.stacked_dim * ib.out_dim + ib.num_convs * ib.kernel * ib.out_dim**2)
-    width = ib.out_dim
-    for i, layer in enumerate(config.causal):
-        rate = 2 if i < config.stack_after else 1
-        if i == config.stack_after:
-            width *= 2
-        if width != layer.model_dim:
-            macs += rate * width * layer.model_dim
-        width = layer.model_dim
-        macs += rate * _layer_macs_per_frame(layer, dense)
-    if config.stack_after == len(config.causal):
-        width *= 2
-    for layer in config.resolved_non_causal():
-        if width != layer.model_dim:
-            macs += width * layer.model_dim
-        width = layer.model_dim
-        macs += _layer_macs_per_frame(layer, dense)
-    if config.adapters is not None:
-        for layer in config.non_causal:
-            macs += 2 * layer.model_dim * config.adapters.dim
-    return macs
+    return _encoder_macs(
+        config, dense, frames=lambda rate: rate,
+        pairs=lambda n, l: n * (l.left_context + 1 + l.right_context))
 
 
-def _window_macs_exact(frames: int, left: int, right: int, d: int) -> int:
-    total_pairs = 0
-    for t in range(frames):
-        total_pairs += min(t, left) + 1 + min(frames - 1 - t, right)
-    return 2 * d * total_pairs
+def _window_pairs(frames: int, cfg: ConformerLayerConfig) -> int:
+    """Mask-allowed (query, key) pairs over ``frames`` frames, edges included."""
+    return sum(min(t, cfg.left_context) + 1 + min(frames - 1 - t, cfg.right_context)
+               for t in range(frames))
 
 
 def total_macs(config: EncoderConfig, num_raw_frames: int, batch: int = 1,
@@ -204,49 +178,11 @@ def total_macs(config: EncoderConfig, num_raw_frames: int, batch: int = 1,
     Matches the instrumented tally of ``EncoderModel.forward`` on the same
     shapes (attention MACs are counted for mask-allowed pairs only).
     """
-    config.validate()
-    fe, ib = config.frontend, config.input_block
-    t_pre = -(-num_raw_frames // fe.downsample)  # ceil
-    macs = t_pre * fe.stacked_dim * ib.out_dim
-    macs += t_pre * ib.num_convs * ib.kernel * ib.out_dim**2
-
-    def layer_total(cfg: ConformerLayerConfig, frames: int) -> int:
-        d = cfg.model_dim
-        sub = 0
-        for placed_here in (cfg.moe_placement in ("start", "both"),
-                            cfg.moe_placement in ("end", "both")):
-            if not placed_here:
-                sub += frames * 2 * cfg.ffn_mult * d * d
-            else:
-                active = cfg.num_experts if dense else 2
-                sub += frames * (d * cfg.num_experts + active * 2 * cfg.expert_mult * d * d)
-        sub += frames * (4 * d * d) + _window_macs_exact(
-            frames, cfg.left_context, cfg.right_context, d
-        )
-        sub += frames * (3 * d * d + cfg.conv_kernel * d)
-        return sub
-
-    width = ib.out_dim
-    frames = t_pre
-    for i, layer in enumerate(config.causal):
-        if i == config.stack_after:
-            width *= 2
-            frames //= 2
-        if width != layer.model_dim:
-            macs += frames * width * layer.model_dim
-        width = layer.model_dim
-        macs += layer_total(layer, frames)
-    if config.stack_after == len(config.causal):
-        width *= 2
-        frames //= 2
-    if mode == "cascaded":
-        for layer in config.resolved_non_causal():
-            if width != layer.model_dim:
-                macs += frames * width * layer.model_dim
-            width = layer.model_dim
-            macs += layer_total(layer, frames)
-            if config.adapters is not None:
-                macs += frames * 2 * layer.model_dim * config.adapters.dim
+    t_pre = -(-num_raw_frames // config.frontend.downsample)  # ceil
+    macs = _encoder_macs(
+        config, dense, frames=lambda rate: t_pre * rate // 2,
+        pairs=_window_pairs,
+        causal_only=mode != "cascaded")
     return batch * macs
 
 

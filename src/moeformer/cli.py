@@ -144,20 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, batch_size=True):
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="directory for output files")
         p.add_argument("--batches", type=int, default=8)
-        p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
+        if batch_size:  # train takes its batch size from train.batch_size
+            p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
 
-    common(sub.add_parser("train", help="train a model on the synthetic task"))
+    common(sub.add_parser("train", help="train a model on the synthetic task"),
+           batch_size=False)
     common(sub.add_parser("eval", help="evaluate a checkpoint"), checkpoint=True)
     p_count = sub.add_parser("count-params", help="parameter and FLOP accounting")
     p_count.add_argument("--config", required=True)
-    p_count.add_argument("--seed", type=int, default=None)  # unused; uniform interface
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--baseline-config", default=None,
                          help="dense baseline for remainder calibration")

@@ -3,8 +3,10 @@
 EncoderConfig describes the whole encoder geometry: a frame-stacking
 frontend, a causal stack (input block, optional mid-stack time stacking,
 Conformer layers), a non-causal cascade with bounded right context, expert
-placement, and optional per-group residual adapters. The same object drives
-model construction, parameter/FLOP accounting, and the training harness.
+placement, and optional per-group residual adapters. ``plan`` walks it once
+into ordered stage records (widths, projections, frame rate, time stacking)
+that model construction, the forward pass and parameter/MAC accounting all
+consume.
 
 Configs round-trip through flat ``key=value`` text files; see
 ``ENCODER_KEYS`` for the documented key list.
@@ -12,7 +14,8 @@ Configs round-trip through flat ``key=value`` text files; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -51,8 +54,10 @@ class ConformerLayerConfig:
             raise ConfigError("expert routing needs num_experts >= 2")
 
     @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
+    def moe_sites(self) -> tuple[bool, bool]:
+        """Whether the start and the end feed-forward are expert-routed."""
+        return (self.moe_placement in ("start", "both"),
+                self.moe_placement in ("end", "both"))
 
 
 @dataclass
@@ -102,6 +107,8 @@ class EncoderConfig:
     adapters: AdapterConfig | None = None
 
     def validate(self) -> None:
+        if not self.causal and not self.non_causal:
+            raise ConfigError("an encoder needs at least one Conformer layer")
         self.frontend.validate()
         self.input_block.validate()
         for layer in self.causal:
@@ -123,26 +130,6 @@ class EncoderConfig:
         if self.adapters is not None:
             self.adapters.validate()
 
-    def resolved_non_causal(self) -> list[ConformerLayerConfig]:
-        """Non-causal layer configs with the MoE selector applied.
-
-        ``all`` keeps every layer's placement, ``odd`` keeps odd-indexed
-        layers, ``first_only`` keeps layer 0; deselected layers fall back to a
-        plain feed-forward pair.
-        """
-        out = []
-        for i, layer in enumerate(self.non_causal):
-            selected = (
-                self.moe_selector == "all"
-                or (self.moe_selector == "odd" and i % 2 == 1)
-                or (self.moe_selector == "first_only" and i == 0)
-            )
-            if selected or layer.moe_placement == "none":
-                out.append(layer)
-            else:
-                out.append(replace(layer, moe_placement="none", num_experts=0))
-        return out
-
     @property
     def total_downsample(self) -> int:
         """Raw feature frames consumed per final encoder frame."""
@@ -154,7 +141,53 @@ class EncoderConfig:
 
     @property
     def output_dim(self) -> int:
-        return self.non_causal[-1].model_dim if self.non_causal else self.causal[-1].model_dim
+        last = plan(self)[-1]
+        return last.layer.model_dim * (2 if last.time_stack == "after" else 1)
+
+
+class Stage(NamedTuple):
+    """One Conformer layer of the encoder walk, in execution order."""
+
+    stack: str                     # "causal" or "noncausal" (parameter-name prefix)
+    index: int                     # position within its stack
+    layer: ConformerLayerConfig    # MoE selector already applied
+    proj: tuple[int, int] | None   # width-matching projection ahead of the layer
+    rate: int                      # frames per output frame: 2 before time stacking, 1 after
+    time_stack: str | None = None  # "before"/"after": the 2x time stacking runs here
+
+
+def plan(config: EncoderConfig) -> list[Stage]:
+    """The encoder geometry, walked once for model construction, the
+    forward pass and the accounting.
+
+    The input block feeds the causal stack, then the non-causal cascade.
+    The 2x time stacking (double width, half rate) runs ahead of the layer
+    at position ``stack_after`` of that sequence; when every layer comes
+    before it (no non-causal layers), it runs after the last one. Non-causal
+    layers keep their expert placement when the selector picks them (``all``
+    every layer, ``odd`` odd-indexed layers, ``first_only`` layer 0) and
+    fall back to a plain feed-forward pair otherwise.
+    """
+    stages = []
+    width = config.input_block.out_dim
+    for stack, layers in (("causal", config.causal), ("noncausal", config.non_causal)):
+        for i, layer in enumerate(layers):
+            if stack == "noncausal" and layer.moe_placement != "none" and not (
+                config.moe_selector == "all"
+                or (config.moe_selector == "odd" and i % 2 == 1)
+                or (config.moe_selector == "first_only" and i == 0)
+            ):
+                layer = replace(layer, moe_placement="none", num_experts=0)
+            n = len(stages)
+            if n == config.stack_after:
+                width *= 2
+            proj = (width, layer.model_dim) if width != layer.model_dim else None
+            width = layer.model_dim
+            stages.append(Stage(stack, i, layer, proj, 2 if n < config.stack_after else 1,
+                                "before" if n == config.stack_after else None))
+    if config.stack_after == len(stages):
+        stages[-1] = stages[-1]._replace(time_stack="after")
+    return stages
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import AdapterConfig, ConformerLayerConfig, EncoderConfig
-from .errors import ConfigError, ParameterError
+from .config import ConformerLayerConfig, EncoderConfig, plan
+from .errors import ParameterError
 from .moe import ExpertFFN, MoELayer, RoutingDecision
 from .tensor import Tensor
 
@@ -355,13 +355,6 @@ class AdapterBank:
                 yield f"group{i}.{name}", p
 
 
-def residual_adapter_forward(x: Tensor, group_id: int, bank: AdapterBank) -> Tensor:
-    """Apply one adapter group to every frame of ``x``."""
-    if not 0 <= group_id < len(bank.groups):
-        raise ParameterError(f"adapters: unknown group {group_id}")
-    return bank.groups[group_id](x)
-
-
 # --------------------------------------------------------------------------
 # encoder assembly
 
@@ -383,7 +376,7 @@ def _build_layer(cfg: ConformerLayerConfig, make: _ParamFactory) -> ConformerLay
             experts.append(ExpertFFN(w1, b1, w2, b2))
         return MoEBlock(ln, MoELayer(gate, experts), cfg.moe_residual_scale)
 
-    start = ffn_or_moe(cfg.moe_placement in ("start", "both"))
+    start = ffn_or_moe(cfg.moe_sites[0])
     attn = AttentionBlock(
         _Norm(*make.norm(d)),
         *make.linear(d, d), *make.linear(d, d), *make.linear(d, d), *make.linear(d, d),
@@ -396,7 +389,7 @@ def _build_layer(cfg: ConformerLayerConfig, make: _ParamFactory) -> ConformerLay
         _Norm(*make.norm(d)),
         _Linear(*make.linear(d, d)),
     )
-    end = ffn_or_moe(cfg.moe_placement in ("end", "both"))
+    end = ffn_or_moe(cfg.moe_sites[1])
     return ConformerLayer(cfg, start, attn, conv, end, _Norm(*make.norm(d)))
 
 
@@ -417,28 +410,13 @@ class EncoderModel:
             make.conv_full(ib.kernel, ib.out_dim, ib.out_dim) for _ in range(ib.num_convs)
         ]
 
-        # walk the causal stack, inserting projections wherever widths change
-        self.causal_layers: list[ConformerLayer] = []
-        self.causal_projs: dict[int, _Linear] = {}
-        width = ib.out_dim
-        for i, layer_cfg in enumerate(config.causal):
-            if i == config.stack_after:
-                width *= 2
-            if width != layer_cfg.model_dim:
-                self.causal_projs[i] = _Linear(*make.linear(width, layer_cfg.model_dim))
-            width = layer_cfg.model_dim
-            self.causal_layers.append(_build_layer(layer_cfg, make))
-        if config.stack_after == len(config.causal):
-            width *= 2
-        self.causal_out_dim = width
-
-        self.non_causal_layers: list[ConformerLayer] = []
-        self.non_causal_projs: dict[int, _Linear] = {}
-        for i, layer_cfg in enumerate(config.resolved_non_causal()):
-            if width != layer_cfg.model_dim:
-                self.non_causal_projs[i] = _Linear(*make.linear(width, layer_cfg.model_dim))
-            width = layer_cfg.model_dim
-            self.non_causal_layers.append(_build_layer(layer_cfg, make))
+        # one width-matching projection (or None) and one layer per stage
+        self.stages = plan(config)
+        self.projs: list[_Linear | None] = []
+        self.layers: list[ConformerLayer] = []
+        for stage in self.stages:
+            self.projs.append(_Linear(*make.linear(*stage.proj)) if stage.proj else None)
+            self.layers.append(_build_layer(stage.layer, make))
 
         self.adapter_banks: list[AdapterBank] = []
         if config.adapters is not None:
@@ -460,18 +438,12 @@ class EncoderModel:
         for i, (w, b) in enumerate(self.input_convs):
             yield f"frontend.conv{i}.w", w
             yield f"frontend.conv{i}.b", b
-        for i, layer in enumerate(self.causal_layers):
-            if i in self.causal_projs:
-                for name, p in self.causal_projs[i].parameters():
-                    yield f"causal.proj{i}.{name}", p
+        for stage, proj, layer in zip(self.stages, self.projs, self.layers):
+            if proj is not None:
+                for name, p in proj.parameters():
+                    yield f"{stage.stack}.proj{stage.index}.{name}", p
             for name, p in layer.parameters():
-                yield f"causal.{i}.{name}", p
-        for i, layer in enumerate(self.non_causal_layers):
-            if i in self.non_causal_projs:
-                for name, p in self.non_causal_projs[i].parameters():
-                    yield f"noncausal.proj{i}.{name}", p
-            for name, p in layer.parameters():
-                yield f"noncausal.{i}.{name}", p
+                yield f"{stage.stack}.{stage.index}.{name}", p
         for i, bank in enumerate(self.adapter_banks):
             for name, p in bank.parameters():
                 yield f"adapters.{i}.{name}", p
@@ -480,18 +452,11 @@ class EncoderModel:
         return sum(p.size for _, p in self.parameters())
 
     def moe_layers(self) -> list[MoELayer]:
-        out = []
-        for layer in self.non_causal_layers:
-            out.extend(block.moe for block in layer.moe_blocks())
-        return out
+        return [block.moe for layer in self.layers for block in layer.moe_blocks()]
 
     def reset_moe_evaluations(self) -> None:
         for moe in self.moe_layers():
             moe.reset_evaluations()
-
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.grad = None
 
     # -- forward -------------------------------------------------------------
 
@@ -535,26 +500,20 @@ class EncoderModel:
                                                    cfg.right_context)
             return masks[key]
 
-        for i, layer in enumerate(self.causal_layers):
-            if i == self.config.stack_after:
+        for stage, proj, layer in zip(self.stages, self.projs, self.layers):
+            if stage.time_stack == "before":
                 x = _time_stack2(x)
-            if i in self.causal_projs:
-                x = self.causal_projs[i](x)
+            if mode == "causal_only" and not layer.cfg.causal:
+                break
+            if proj is not None:
+                x = proj(x)
             x = layer.forward(x, mask_for(layer.cfg, x.shape[1]), sink)
-        if self.config.stack_after == len(self.causal_layers):
-            x = _time_stack2(x)
-
-        if mode == "causal_only":
-            return (x if not squeeze else _squeeze_batch(x)), decisions
-
-        for i, layer in enumerate(self.non_causal_layers):
-            if i in self.non_causal_projs:
-                x = self.non_causal_projs[i](x)
-            x = layer.forward(x, mask_for(layer.cfg, x.shape[1]), sink)
-            if self.adapter_banks:
+            if self.adapter_banks and not layer.cfg.causal:
                 if language_ids is None:
                     raise ParameterError("adapters are enabled but no group ids were given")
-                x = self.adapter_banks[i].forward(x, language_ids)
+                x = self.adapter_banks[stage.index].forward(x, language_ids)
+            if stage.time_stack == "after":
+                x = _time_stack2(x)
         return (x if not squeeze else _squeeze_batch(x)), decisions
 
 
@@ -578,9 +537,3 @@ def build_encoder(config: EncoderConfig, seed: int, dtype=np.float32) -> Encoder
     """Deterministically construct an encoder; same config and seed give
     identical parameter tensors."""
     return EncoderModel(config, seed, dtype)
-
-
-def encoder_forward(model: EncoderModel, features, mode: str = "cascaded",
-                    language_ids=None, collect_routing: bool = False):
-    return model.forward(features, mode=mode, language_ids=language_ids,
-                         collect_routing=collect_routing)

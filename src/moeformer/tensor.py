@@ -120,9 +120,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -288,7 +285,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     M = 64).
     """
     if a.ndim < 1 or b.ndim < 2:
-        raise ParameterError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
+        raise ParameterError(
+            f"matmul: left operand must be at least 1-D and right at least 2-D, "
+            f"got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ParameterError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     if b.ndim == 2 and a.size == a.shape[-1]:
@@ -299,11 +298,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _tally(data.size * a.shape[-1])
 
     def backward(g: Array) -> None:
+        # a vector left operand acts as one row: promote it and its gradient
+        a2, g2 = (a.data[None], g[..., None, :]) if a.ndim == 1 else (a.data, g)
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            ga = np.matmul(g2, np.swapaxes(b.data, -1, -2))
             _accum(a, _unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
             _accum(b, _unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)

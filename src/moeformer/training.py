@@ -1,12 +1,10 @@
 """Training harness: frame-level cross-entropy plus the weighted
 load-balancing penalty, adaptive-moment updates with linear warmup,
-line-oriented metrics, and deterministic (optionally prefetched) batching.
+line-oriented metrics, and deterministic batching.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,6 @@ class TrainConfig:
     clip_norm: float = 1.0  # global gradient-norm ceiling; 0 disables
     seed: int = 0
     dtype: str = "float32"
-    prefetch: int = 0  # batches generated ahead by a producer thread
 
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
@@ -44,8 +41,6 @@ class TrainConfig:
             raise ConfigError("aux_weight must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
-        if self.prefetch < 0:
-            raise ConfigError("prefetch must be >= 0")
 
     @property
     def np_dtype(self):
@@ -68,7 +63,6 @@ def train_from_flat(raw: dict[str, str], prefix: str = "train.") -> TrainConfig:
         clip_norm=r.float_("clip_norm", 1.0),
         seed=r.int_("seed", 0),
         dtype=r.str_("dtype", "float32"),
-        prefetch=r.int_("prefetch", 0),
     )
     unknown = r.unknown_keys()
     if unknown:
@@ -194,36 +188,6 @@ def clip_gradients(params, max_norm: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# batching
-
-
-def _batch_stream(task: SyntheticTaskSpec, train_cfg: TrainConfig):
-    """Batches in a deterministic seed-driven order, optionally produced ahead
-    by a bounded-queue worker thread."""
-    rng = np.random.default_rng([train_cfg.seed, 2])
-
-    def make(_step):
-        return generate_batch(task, rng, train_cfg.batch_size)
-
-    if train_cfg.prefetch <= 0:
-        for step in range(train_cfg.steps):
-            yield make(step)
-        return
-
-    q: queue.Queue = queue.Queue(maxsize=train_cfg.prefetch)
-
-    def producer():
-        for step in range(train_cfg.steps):
-            q.put(make(step))
-
-    worker = threading.Thread(target=producer, daemon=True)
-    worker.start()
-    for _ in range(train_cfg.steps):
-        yield q.get()
-    worker.join()
-
-
-# --------------------------------------------------------------------------
 # training loop
 
 
@@ -256,11 +220,13 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
     opt = Adam(model.parameters(), lr=train_cfg.lr, beta1=train_cfg.beta1,
                beta2=train_cfg.beta2, eps=train_cfg.eps,
                warmup_steps=train_cfg.warmup_steps)
+    batch_rng = np.random.default_rng([train_cfg.seed, 2])
     aug_rng = np.random.default_rng([train_cfg.seed, 3])
     downsample = encoder_config.total_downsample
 
     metrics: list[dict] = []
-    for step, (feats, labels, langs) in enumerate(_batch_stream(task, train_cfg)):
+    for step in range(train_cfg.steps):
+        feats, labels, langs = generate_batch(task, batch_rng, train_cfg.batch_size)
         if train_cfg.specaug:
             feats = np.stack([spec_augment(f, aug_rng) for f in feats])
         targets = frame_targets(labels, downsample)

@@ -21,7 +21,7 @@ from moeformer.accounting import count_params, fitted_remainder, total_macs
 from moeformer.checkpoint import load_checkpoint, save_checkpoint
 from moeformer.cli import main as cli_main
 from moeformer.config import AdapterConfig
-from moeformer.encoder import build_encoder, encoder_forward
+from moeformer.encoder import build_encoder
 from moeformer.evaluation import compare_adapter_vs_moe, evaluate
 from moeformer.moe import (
     MoELayer,
@@ -197,7 +197,7 @@ def test_criterion_4_gradient_correctness():
     feats = rng.standard_normal((1, 12, 4))
 
     def layer_loss():
-        out, _ = encoder_forward(model, feats)
+        out, _ = model.forward(feats)
         return mean(out * out)
 
     params = dict(model.parameters())
@@ -373,19 +373,19 @@ def test_criterion_10_streaming_invariants():
         ds = cfg.frontend.downsample
 
         # causality: future perturbation leaves earlier causal frames bit-equal
-        base, _ = encoder_forward(model, raw, mode="causal_only")
+        base, _ = model.forward(raw, mode="causal_only")
         cut = int(rng.integers(t_raw // 2, t_raw - 4))
         bumped = raw.copy()
         bumped[cut:] += rng.standard_normal(raw[cut:].shape).astype(np.float32)
-        out, _ = encoder_forward(model, bumped, mode="causal_only")
+        out, _ = model.forward(bumped, mode="causal_only")
         safe = [j for j in range(base.shape[0]) if (2 * j + 1) * ds < cut]
         assert safe, "degenerate causality case"
         np.testing.assert_array_equal(base.data[: len(safe)], out.data[: len(safe)])
 
         # right-context budget: perturbation beyond the budget is invisible
         budget = cfg.right_context_total
-        base_c, _ = encoder_forward(model, raw, mode="cascaded")
-        out_c, _ = encoder_forward(model, bumped, mode="cascaded")
+        base_c, _ = model.forward(raw, mode="cascaded")
+        out_c, _ = model.forward(bumped, mode="cascaded")
         safe_c = [
             j for j in range(base_c.shape[0])
             if (2 * (j + budget) + 1) * ds < cut

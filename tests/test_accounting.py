@@ -1,6 +1,9 @@
 """Accounting tests: hand counts, structural consistency with built models,
 MAC instrumentation equality, and reference-family size reproduction."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from moeformer.accounting import (
     total_macs,
 )
 from moeformer.config import AdapterConfig
-from moeformer.encoder import build_encoder, encoder_forward
+from moeformer.encoder import build_encoder
 from moeformer.presets import (
     REFERENCE_SIZES_M,
     desk_encoder,
@@ -23,6 +26,17 @@ from moeformer.presets import (
 from moeformer.tensor import count_macs
 
 BASELINE_PUBLISHED = 180_000_000
+
+
+# the desk geometry (input block 32 wide, causal layers 64, non-causal 96)
+# with the time stacking after causal layer 0 (32 -> 64 ahead of causal layer
+# 0, 128 -> 64 ahead of layer 1) and after the whole causal stack (tail
+# stacking: 128 -> 96 ahead of non-causal layer 0); expected projection names
+LATE_STACKING = (
+    (replace(desk_encoder(), stack_after=1),
+     ["causal.proj0", "causal.proj1", "noncausal.proj0"]),
+    (replace(desk_encoder(), stack_after=3), ["causal.proj0", "noncausal.proj0"]),
+)
 
 
 def small_cfg(**overrides):
@@ -89,9 +103,12 @@ def test_executable_consistency_exact():
         small_cfg(moe_selector="odd"),
         small_cfg(adapters=AdapterConfig(dim=8, num_groups=4)),
         desk_encoder(),
-    ):
+    ) + tuple(cfg for cfg, _ in LATE_STACKING):
         model = build_encoder(cfg, seed=1)
         assert count_params(cfg).total_params == model.num_params()
+    for cfg, projections in LATE_STACKING:
+        names = {name.rsplit(".", 1)[0] for name, _ in build_encoder(cfg, seed=1).parameters()}
+        assert sorted(n for n in names if re.fullmatch(r"(non)?causal\.proj\d+", n)) == projections
 
 
 def test_paper_dim_moe_adds_seven_ffns_plus_gate_per_layer():
@@ -126,6 +143,8 @@ def test_total_macs_matches_instrumented_forward():
         (small_cfg(moe_placement="none", num_experts=0), 16, 2),
         (small_cfg(adapters=AdapterConfig(dim=8, num_groups=2)), 24, 3),
         (desk_encoder(), 40, 2),
+        (LATE_STACKING[0][0], 37, 2),
+        (LATE_STACKING[1][0], 37, 2),
     ):
         model = build_encoder(cfg, seed=2)
         feats = rng.standard_normal(
@@ -133,17 +152,36 @@ def test_total_macs_matches_instrumented_forward():
         ).astype(np.float32)
         langs = rng.integers(0, 2, size=batch) if cfg.adapters else None
         with count_macs() as counter:
-            encoder_forward(model, feats, language_ids=langs)
+            model.forward(feats, language_ids=langs)
         assert counter.total == total_macs(cfg, frames, batch=batch)
 
 
 def test_total_macs_causal_only_mode():
-    cfg = small_cfg()
-    model = build_encoder(cfg, seed=3)
-    feats = np.zeros((1, 20, cfg.frontend.feature_dim), dtype=np.float32)
-    with count_macs() as counter:
-        encoder_forward(model, feats, mode="causal_only")
-    assert counter.total == total_macs(cfg, 20, mode="causal_only")
+    for cfg in (small_cfg(),) + tuple(cfg for cfg, _ in LATE_STACKING):
+        model = build_encoder(cfg, seed=3)
+        feats = np.zeros((1, 20, cfg.frontend.feature_dim), dtype=np.float32)
+        with count_macs() as counter:
+            out, _ = model.forward(feats, mode="causal_only")
+        assert counter.total == total_macs(cfg, 20, mode="causal_only")
+        # tail stacking runs in causal_only mode too: 20 raw frames -> 10 -> 5
+        tail = cfg.stack_after == len(cfg.causal)
+        assert out.shape == (1, 5, cfg.causal[-1].model_dim * (2 if tail else 1))
+
+
+def test_flops_per_frame_is_the_steady_state_of_total_macs():
+    # one more output frame costs exactly the per-frame MACs, once the
+    # sequence is long enough that every attention window is full
+    configs = list(reference_family().values()) + [
+        desk_encoder(),
+        desk_encoder(moe_placement="both", moe_selector="odd",
+                     adapters=AdapterConfig(dim=8, num_groups=3)),
+    ] + [replace(desk_encoder(), stack_after=s) for s in (1, 2, 3)]
+    for cfg in configs:
+        ds = cfg.total_downsample
+        n = 200 * ds
+        for dense in (False, True):
+            step = total_macs(cfg, n + ds, dense=dense) - total_macs(cfg, n, dense=dense)
+            assert flops_per_frame(cfg, dense) == step
 
 
 # --------------------------------------------------------------------------

@@ -76,6 +76,16 @@ def test_compare_adapter_exits_zero(capsys):
     assert "budget_gap=" in out
 
 
+def test_ignored_options_are_rejected(capsys):
+    # train reads its batch size from train.batch_size; count-params draws nothing
+    for argv in (["train", "--config", str(QUICK), "--batch-size", "4"],
+                 ["count-params", "--config", str(REFERENCE / "b1.cfg"), "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_config_is_single_line_error(capsys):
     code = main(["train", "--config", "/nonexistent/nowhere.cfg"])
     assert code == 1

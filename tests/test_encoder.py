@@ -18,9 +18,7 @@ from moeformer.config import (
 )
 from moeformer.encoder import (
     build_encoder,
-    encoder_forward,
     frame_stack,
-    residual_adapter_forward,
     spec_augment,
 )
 from moeformer.presets import desk_encoder
@@ -111,6 +109,10 @@ def test_spec_augment_deterministic_under_seed():
 # layer equivalence oracles
 
 
+def noncausal_layers(model):
+    return [layer for layer in model.layers if not layer.cfg.causal]
+
+
 def _first_noncausal_params(model, index=0):
     prefix = f"noncausal.{index}."
     return {
@@ -123,7 +125,7 @@ def _first_noncausal_params(model, index=0):
 def test_plain_layer_matches_independent_oracle():
     cfg = tiny_config(moe_placement="none", num_experts=0)
     model = build_encoder(cfg, seed=5, dtype=np.float64)
-    layer = model.non_causal_layers[0]
+    layer = noncausal_layers(model)[0]
     t, d = 9, layer.cfg.model_dim
     rng = np.random.default_rng(6)
     x = rng.standard_normal((t, d))
@@ -139,7 +141,7 @@ def test_plain_layer_matches_independent_oracle():
 def test_moe_end_layer_matches_dense_two_expert_oracle():
     cfg = tiny_config(moe_placement="end", num_experts=2)
     model = build_encoder(cfg, seed=7, dtype=np.float64)
-    layer = model.non_causal_layers[0]
+    layer = noncausal_layers(model)[0]
     # zero-init gates route uniformly; give them structure for a sharper test
     rng = np.random.default_rng(8)
     moe = layer.end.moe
@@ -179,9 +181,9 @@ def test_causal_stack_prefix_stability():
         model = build_encoder(cfg, seed=seed)
         rng = np.random.default_rng(seed + 1)
         raw = rng.standard_normal((total, cfg.frontend.feature_dim)).astype(np.float32)
-        long, _ = encoder_forward(model, raw, mode="causal_only")
+        long, _ = model.forward(raw, mode="causal_only")
         for end in prefixes:
-            short, _ = encoder_forward(model, raw[:end], mode="causal_only")
+            short, _ = model.forward(raw[:end], mode="causal_only")
             np.testing.assert_array_equal(short.data, long.data[: short.shape[0]])
 
 
@@ -190,12 +192,12 @@ def test_causal_stack_future_perturbation_exact():
     model = build_encoder(cfg, seed=11)
     rng = np.random.default_rng(12)
     raw = rng.standard_normal((32, cfg.frontend.feature_dim)).astype(np.float32)
-    base, _ = encoder_forward(model, raw, mode="causal_only")
+    base, _ = model.forward(raw, mode="causal_only")
     ds = cfg.frontend.downsample
     perturb_at = 21  # raw index
     bumped = raw.copy()
     bumped[perturb_at:] += 3.0
-    out, _ = encoder_forward(model, bumped, mode="causal_only")
+    out, _ = model.forward(bumped, mode="causal_only")
     # output j consumes raw frames <= (2j + 1) * ds; frames strictly before
     # the perturbation are bit-identical
     safe = [j for j in range(base.shape[0]) if (2 * j + 1) * ds < perturb_at]
@@ -209,12 +211,12 @@ def test_cascaded_right_context_budget_exact():
     total_right = cfg.right_context_total
     rng = np.random.default_rng(14)
     raw = rng.standard_normal((48, cfg.frontend.feature_dim)).astype(np.float32)
-    base, _ = encoder_forward(model, raw, mode="cascaded")
+    base, _ = model.forward(raw, mode="cascaded")
     ds = cfg.frontend.downsample
     perturb_at = 36
     bumped = raw.copy()
     bumped[perturb_at:] += 2.0
-    out, _ = encoder_forward(model, bumped, mode="cascaded")
+    out, _ = model.forward(bumped, mode="cascaded")
     safe = [
         j for j in range(base.shape[0])
         if (2 * (j + total_right) + 1) * ds < perturb_at
@@ -239,17 +241,15 @@ def test_streaming_invariants_random_configs():
         )
         model = build_encoder(cfg, seed=trial)
         raw = rng.standard_normal((40, cfg.frontend.feature_dim)).astype(np.float32)
-        short, _ = encoder_forward(model, raw[:28], mode="causal_only")
-        long, _ = encoder_forward(model, raw, mode="causal_only")
+        short, _ = model.forward(raw[:28], mode="causal_only")
+        long, _ = model.forward(raw, mode="causal_only")
         np.testing.assert_array_equal(short.data, long.data[: short.shape[0]])
 
 
 def test_zero_length_input():
     cfg = tiny_config()
     model = build_encoder(cfg, seed=16)
-    out, _ = encoder_forward(
-        model, np.zeros((0, cfg.frontend.feature_dim), dtype=np.float32)
-    )
+    out, _ = model.forward(np.zeros((0, cfg.frontend.feature_dim), dtype=np.float32))
     assert out.shape[0] == 0
 
 
@@ -282,8 +282,8 @@ def test_selector_first_only_yields_one_moe_layer():
     cfg = tiny_config(non_causal_layers=4, moe_selector="first_only")
     model = build_encoder(cfg, seed=23)
     assert len(model.moe_layers()) == 1
-    assert model.non_causal_layers[0].moe_blocks()
-    assert not model.non_causal_layers[1].moe_blocks()
+    assert noncausal_layers(model)[0].moe_blocks()
+    assert not noncausal_layers(model)[1].moe_blocks()
 
 
 def test_selector_odd_on_ten_layers_yields_five():
@@ -293,7 +293,7 @@ def test_selector_odd_on_ten_layers_yields_five():
     )
     model = build_encoder(cfg, seed=24)
     assert len(model.moe_layers()) == 5
-    flagged = [bool(l.moe_blocks()) for l in model.non_causal_layers]
+    flagged = [bool(l.moe_blocks()) for l in noncausal_layers(model)]
     assert flagged == [False, True] * 5
 
 
@@ -301,7 +301,7 @@ def test_gate_zero_init_routes_uniformly():
     cfg = tiny_config(moe_placement="end", num_experts=4)
     model = build_encoder(cfg, seed=25)
     raw = np.random.default_rng(26).standard_normal((24, cfg.frontend.feature_dim))
-    _, decisions = encoder_forward(model, raw.astype(np.float32), collect_routing=True)
+    _, decisions = model.forward(raw.astype(np.float32), collect_routing=True)
     for d in decisions:
         np.testing.assert_allclose(d.gates.data, 1.0 / d.num_experts, atol=1e-6)
 
@@ -319,6 +319,12 @@ def test_invalid_config_rejected():
         build_encoder(cfg, seed=0)
 
 
+def test_encoder_without_layers_rejected():
+    cfg = tiny_config(causal_layers=0, non_causal_layers=0)
+    with pytest.raises(ConfigError, match="at least one Conformer layer"):
+        build_encoder(cfg, seed=0)
+
+
 # --------------------------------------------------------------------------
 # adapters
 
@@ -333,9 +339,9 @@ def test_adapter_identity_at_init():
     adapted = build_encoder(cfg, seed=31)
     raw = np.random.default_rng(32).standard_normal((24, cfg.frontend.feature_dim))
     raw = raw.astype(np.float32)
-    base, _ = encoder_forward(plain, raw)
+    base, _ = plain.forward(raw)
     langs = np.array([1])
-    out, _ = encoder_forward(adapted, raw, language_ids=langs)
+    out, _ = adapted.forward(raw, language_ids=langs)
     np.testing.assert_array_equal(base.data, out.data)
 
 
@@ -348,8 +354,8 @@ def test_adapter_groups_diverge_after_training_signal():
         for group in bank.groups:
             group.up.w.data[...] = rng.standard_normal(group.up.w.shape).astype(np.float32)
     raw = rng.standard_normal((2, 24, cfg.frontend.feature_dim)).astype(np.float32)
-    out0, _ = encoder_forward(model, raw, language_ids=np.array([0, 0]))
-    out1, _ = encoder_forward(model, raw, language_ids=np.array([1, 1]))
+    out0, _ = model.forward(raw, language_ids=np.array([0, 0]))
+    out1, _ = model.forward(raw, language_ids=np.array([1, 1]))
     assert not np.allclose(out0.data, out1.data)
 
 
@@ -369,10 +375,10 @@ def test_adapter_unknown_group_rejected():
     model = build_encoder(cfg, seed=36)
     bank = model.adapter_banks[0]
     with pytest.raises(ParameterError):
-        residual_adapter_forward(Tensor(np.zeros((1, 4, 24), dtype=np.float32)), 7, bank)
+        bank.forward(Tensor(np.zeros((1, 4, 24), dtype=np.float32)), np.array([7]))
     raw = np.zeros((2, 12, cfg.frontend.feature_dim), dtype=np.float32)
     with pytest.raises(ParameterError):
-        encoder_forward(model, raw, language_ids=np.array([0, 5]))
+        model.forward(raw, language_ids=np.array([0, 5]))
 
 
 def test_adapter_missing_language_ids_rejected():
@@ -380,4 +386,4 @@ def test_adapter_missing_language_ids_rejected():
     model = build_encoder(cfg, seed=37)
     raw = np.zeros((12, cfg.frontend.feature_dim), dtype=np.float32)
     with pytest.raises(ParameterError):
-        encoder_forward(model, raw)
+        model.forward(raw)

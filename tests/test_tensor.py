@@ -323,6 +323,21 @@ def test_gradcheck_dense_chain():
     assert_grads_close(loss_fn, {"w1": w1, "b1": b1, "w2": w2})
 
 
+def test_gradcheck_matmul_vector_left_operand():
+    # a 1-D left operand is one row: (k,) @ (k, n) -> (n,), (k,) @ (B, k, n) -> (B, n)
+    rng = np.random.default_rng(47)
+    for b_shape in ((4, 3), (2, 4, 3)):
+        a = _param(rng, 4)
+        b = _param(rng, *b_shape)
+        probe = rng.standard_normal(b_shape[:-2] + b_shape[-1:])
+
+        def loss_fn():
+            return sum_(matmul(a, b) * probe)
+
+        assert matmul(a, b).shape == probe.shape
+        assert_grads_close(loss_fn, {"a": a, "b": b})
+
+
 def test_gradcheck_layer_norm_and_conv():
     rng = np.random.default_rng(43)
     g = _param(rng, 6)

@@ -1,6 +1,8 @@
 """Training-loop tests: determinism, divergence handling, optimizer sanity,
 dense-equivalence of two-expert routing, and balance under a heavy penalty."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,12 +52,15 @@ def test_metrics_deterministic_across_runs(tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
-def test_prefetch_queue_matches_synchronous_batching():
-    sync = TrainConfig(steps=8, batch_size=2, seed=3, prefetch=0)
-    queued = TrainConfig(steps=8, batch_size=2, seed=3, prefetch=3)
-    _, m1 = train(micro_encoder(), micro_task(), sync)
-    _, m2 = train(micro_encoder(), micro_task(), queued)
-    assert [metrics_line(m) for m in m1] == [metrics_line(m) for m in m2]
+def test_head_matches_tail_time_stacked_output():
+    # a causal-only encoder whose time stacking runs after its last layer
+    # emits frames twice as wide as that layer
+    cfg = replace(micro_encoder(causal_layers=2, non_causal_layers=0, moe_placement="none",
+                                num_experts=0), stack_after=2)
+    assert cfg.output_dim == 32
+    model = build_model(cfg, num_labels=3, seed=1)
+    logits, _ = model.logits(np.zeros((2, 16, 8), dtype=np.float32))
+    assert logits.shape == (2, 4, 3)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
