@@ -99,8 +99,10 @@ def load_checkpoint(path):
 def load_into(named_params, path):
     """Load a checkpoint into existing tensors, validating names and shapes.
 
-    ``named_params`` is an iterable of (name, Tensor). Returns (config_text,
-    step). The first mismatching tensor is named in the error.
+    ``named_params`` is an iterable of (name, Tensor). Values are copied
+    into each tensor's existing buffer (cast to its dtype), so views of it,
+    such as an optimizer's flat parameter arena, see them. Returns
+    (config_text, step). The first mismatching tensor is named in the error.
     """
     tensors, config_text, step = load_checkpoint(path)
     params = dict(named_params)
@@ -120,5 +122,5 @@ def load_into(named_params, path):
                 f"{tensors[name].shape}, model expects {tensor.shape}"
             )
     for name, tensor in params.items():
-        tensor.data = tensors[name].astype(tensor.dtype)
+        tensor.data[...] = tensors[name]
     return config_text, step

@@ -38,6 +38,8 @@ class ConformerLayerConfig:
     moe_residual_scale: float = 1.0
 
     def validate(self) -> None:
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.model_dim <= 0 or self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} must be a positive multiple of heads {self.heads}"

@@ -3,7 +3,8 @@
 numpy arrays hold the numeric buffers; the computation graph is the implicit
 DAG of parent links each op records on its output. ``Tensor.backward`` walks
 that DAG once in reverse topological order and accumulates gradients, so every
-node's backward rule runs exactly once.
+node's backward rule runs exactly once; an interior node's gradient is dropped
+as soon as its rule has run, and only leaves keep theirs.
 
 All ops are out-of-place and deterministic. 32-bit floats are the working
 precision; building a graph from float64 leaves switches the whole graph to
@@ -83,7 +84,7 @@ def no_grad():
 class Tensor:
     """A dense array plus the graph links needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_slice")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray):
@@ -97,6 +98,9 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], None] | None = None
+        # (buffer, index, axis, span) while ``grad`` is a buffer that slice
+        # backward rules of this backward pass own (see ``_accum_slice``)
+        self._grad_slice: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -175,8 +179,12 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            # every consumer of node has run: its gradient is complete
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = None
+            node._grad_slice = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -204,6 +212,46 @@ def _accum(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
+
+
+def _accum_slice(t: Tensor, axis: int, index: tuple, g: Array) -> None:
+    """Accumulate ``g``, the gradient of ``t[index]`` (a basic slice along
+    ``axis``), into ``t.grad`` with the result, bit for bit, of adding a
+    zero array that holds ``g`` at ``index``.
+
+    The first slice contribution allocates that zero array and keeps it as a
+    buffer owned by ``t`` for this backward pass; a later slice that repeats
+    or does not overlap the previous one adds into it in place, so k
+    disjoint slices of one input cost one full-size buffer. Adding a padded
+    slice's zeros turns -0.0 into +0.0; only the previous slice's entries
+    can still hold -0.0, so they get that +0.0 added explicitly.
+    """
+    if not t.requires_grad:
+        return
+    span = range(*index[axis].indices(t.shape[axis]))
+    g = g.astype(t.dtype, copy=False)
+    owned = t._grad_slice
+    if owned is not None and owned[0] is t.grad:
+        buf, prev, prev_axis, prev_span = owned
+        if prev != index and prev_axis == axis and _disjoint(prev_span, span):
+            region = buf[prev]
+            region += 0.0
+            prev = index
+        if prev == index:
+            target = buf[index]
+            target += g
+            t._grad_slice = (buf, index, axis, span)
+            return
+    gx = np.zeros_like(t.data)
+    gx[index] = g
+    t.grad = gx if t.grad is None else t.grad + gx
+    t._grad_slice = (t.grad, index, axis, span)
+
+
+def _disjoint(a: range, b: range) -> bool:
+    if a.step == b.step == 1:
+        return a.stop <= b.start or b.stop <= a.start
+    return set(a).isdisjoint(b)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -358,15 +406,14 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 def slice_axis(x: Tensor, axis: int, start=None, stop=None, step=None) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ParameterError(f"slice_axis: axis {axis} invalid for shape {x.shape}")
+    axis %= x.ndim
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, stop, step)
     index = tuple(index)
     data = x.data[index]
 
     def backward(g: Array) -> None:
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        _accum(x, gx)
+        _accum_slice(x, axis, index, g)
 
     return _make(data, (x,), backward)
 
@@ -709,10 +756,33 @@ def take_rows(x: Tensor, idx: Array) -> Tensor:
 
     def backward(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        _add_rows_at(gx, idx, g)
         _accum(x, gx)
 
     return _make(data, (x,), backward)
+
+
+def _add_rows_at(out: Array, idx: Array, g: Array) -> None:
+    """``np.add.at(out, idx, g)`` for in-range row indices, bit for bit.
+
+    Unique rows take one indexed add. A repeated row gets its terms in index
+    order, as ``np.add.at`` adds them: round k adds every row's k-th
+    occurrence, and the rows of one round are unique.
+    """
+    rows = idx.reshape(-1) % max(out.shape[0], 1)
+    g = g.reshape(rows.shape + out.shape[1:])
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    new_row = np.ones(rows.size, dtype=bool)
+    new_row[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    if new_row.all():
+        out[rows] += g
+        return
+    starts = np.flatnonzero(new_row)
+    rank = np.arange(rows.size) - np.repeat(starts, np.diff(np.append(starts, rows.size)))
+    for k in range(int(rank.max()) + 1):
+        pick = order[rank == k]
+        out[rows[pick]] += g[pick]
 
 
 def scatter_rows(values: Tensor, idx: Array, size: int) -> Tensor:

@@ -1,8 +1,9 @@
 """Independent numpy reference implementations used as test oracles.
 
 Everything here is written against raw arrays, deliberately sharing no code
-with the package's graph ops, except ``dense_moe_forward``: that one is built
-from tensor ops so that a model running it still trains.
+with the package's graph ops, except ``dense_moe_forward`` and
+``padded_slice_axis``: those are built from tensor ops so that a graph using
+them still backpropagates.
 """
 
 from __future__ import annotations
@@ -156,3 +157,69 @@ def plain_conformer_layer(x: np.ndarray, p: dict, heads: int, mask: np.ndarray,
         h = layer_norm_rows(x, p["moe_end.ln.g"], p["moe_end.ln.b"])
         x = x + dense_zeroed_mixture(h, gate_w, moe_end_experts)
     return layer_norm_rows(x, p["out_ln.g"], p["out_ln.b"])
+
+
+def padded_slice_axis(x, axis, start=None, stop=None, step=None):
+    """``tensor.slice_axis`` whose backward adds a zero array holding the
+    slice's gradient: one full-size array per slice."""
+    index = [slice(None)] * x.ndim
+    index[axis] = slice(start, stop, step)
+    index = tuple(index)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        T._accum(x, gx)
+
+    return T._make(x.data[index], (x,), backward)
+
+
+class PerTensorAdam:
+    """Adam with bias correction and linear warmup, one tensor at a time:
+    the reference for the flat-arena ``training.Adam``. Moments are
+    per-parameter arrays; ``step`` rebinds each updated ``p.data``."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, warmup_steps=0):
+        self.params = [p for _, p in params]
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.warmup_steps = warmup_steps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def current_lr(self):
+        if self.warmup_steps and self.t < self.warmup_steps:
+            return self.lr * (self.t + 1) / self.warmup_steps
+        return self.lr
+
+    def step(self):
+        lr = self.current_lr()
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
+            update = (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+            p.data = p.data - (lr * update).astype(p.dtype)
+        return lr
+
+
+def per_tensor_clip(params, max_norm):
+    """Global-norm gradient clipping, one tensor at a time (the reference
+    for ``training.clip_gradients``); returns the pre-clip norm."""
+    total = 0.0
+    grads = [p.grad for p in params if p.grad is not None]
+    for g in grads:
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for p in params:
+            if p.grad is not None:
+                p.grad = p.grad * scale
+    return norm

@@ -7,7 +7,10 @@ from moeformer import CheckpointError
 from moeformer.checkpoint import load_checkpoint, load_into, save_checkpoint
 from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec
-from moeformer.training import TrainConfig, build_model, checkpoint_config_text
+from moeformer.tensor import Tensor
+from moeformer.training import Adam, TrainConfig, build_model, checkpoint_config_text
+
+import oracles
 
 
 def small_model(seed=0, **overrides):
@@ -43,6 +46,28 @@ def test_load_into_restores_model(tmp_path):
     for (_, a), (_, b) in zip(model.parameters(), other.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(before, dict(other.parameters())["head.w"].data)
+
+
+def test_load_into_after_adam_is_seen_by_next_step(tmp_path):
+    _, source = small_model(seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(source.parameters(), path)
+    _, model = small_model(seed=2)
+    opt = Adam(model.parameters(), lr=1e-2)
+    views = [p.data for _, p in model.parameters()]
+    load_into(model.parameters(), path)
+    assert all(p.data is view for (_, p), view in zip(model.parameters(), views))
+    # the next step starts from the loaded values
+    ref = [(name, Tensor(p.data.copy(), requires_grad=True)) for name, p in source.parameters()]
+    oracle = oracles.PerTensorAdam(ref, lr=1e-2)
+    rng = np.random.default_rng(3)
+    for (_, p), (_, q) in zip(model.parameters(), ref):
+        p.grad = rng.standard_normal(p.shape).astype(p.dtype)
+        q.grad = p.grad.copy()
+    opt.step()
+    oracle.step()
+    for (name, p), (_, q) in zip(model.parameters(), ref):
+        assert p.data.tobytes() == q.data.tobytes(), name
 
 
 def test_truncated_file_is_an_error_not_a_crash(tmp_path):

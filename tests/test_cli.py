@@ -103,6 +103,18 @@ def test_non_utf8_config_is_single_line_error(tmp_path, capsys):
     assert "UTF-8" in err
 
 
+@pytest.mark.parametrize("heads", [0, -4])
+def test_bad_heads_is_single_line_error(tmp_path, capsys, heads):
+    bad = tmp_path / "heads.cfg"
+    bad.write_text(QUICK.read_text().replace("encoder.causal_heads=2",
+                                             f"encoder.causal_heads={heads}"))
+    code = main(["count-params", "--config", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "heads" in err
+
+
 def test_unknown_key_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(QUICK.read_text() + "encoder.bogus_key=1\n")

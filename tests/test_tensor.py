@@ -296,6 +296,104 @@ def test_no_grad_records_nothing_nests_and_restores():
     np.testing.assert_array_equal(w.grad, np.repeat(x.data.sum(axis=0)[:, None], 2, axis=1))
 
 
+def test_backward_frees_interior_gradients():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    h = matmul(x, w)
+    y = h * h
+    left, right = slice_axis(x, 1, 0, 2), slice_axis(x, 1, 2, 4)
+    loss = sum_(y) + sum_(left * right)
+    loss.backward()
+    for node in (h, y, left, right, loss):
+        assert node.grad is None
+    # leaves keep their gradients, as the per-node rules produce them
+    gh = h.data + h.data
+    np.testing.assert_array_equal(w.grad, np.matmul(x.data.T, gh))
+    gx = np.matmul(gh, w.data.T)
+    gx = gx + np.concatenate([right.data, np.zeros((3, 2))], axis=1)
+    gx = gx + np.concatenate([np.zeros((3, 2)), left.data], axis=1)
+    np.testing.assert_array_equal(x.grad, gx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slice_axis_backward_matches_padded_oracle(dtype):
+    # random mixes of slices (contiguous, strided, overlapping, along either
+    # axis, negative axis) and whole uses of one tensor, with +-0.0 among the
+    # upstream gradients: bit for bit, sign of zero included, equal to adding
+    # one zero-padded array per slice
+    rng = np.random.default_rng(48)
+    for trial in range(150):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        init = rng.standard_normal(shape).astype(dtype)
+        plan = []
+        for _ in range(int(rng.integers(1, 6))):
+            axis = int(rng.integers(0, 2))
+            n = shape[axis]
+            start = int(rng.integers(0, n))
+            stop = int(rng.integers(start, n + 1))
+            step = int(rng.integers(1, 3))
+            whole = rng.random() < 0.2
+            axis_arg = axis - 2 if rng.random() < 0.3 else axis
+            weights = rng.standard_normal(8)
+            weights[rng.random(8) < 0.4] = 0.0
+            weights = np.where(rng.random(8) < 0.5, -weights, weights)  # +0.0 and -0.0
+            plan.append((whole, axis_arg, start, stop, step, weights.astype(dtype)))
+        interior = trial % 2 == 0
+
+        def grad_of(slicer):
+            x = Tensor(init.copy(), requires_grad=True)
+            base = x * 1.0 if interior else x
+            loss = None
+            for whole, axis, start, stop, step, weights in plan:
+                part = base if whole else slicer(base, axis, start, stop, step)
+                term = sum_(part * Tensor(np.resize(weights, part.shape)))
+                loss = term if loss is None else loss + term
+            loss.backward()
+            return x.grad
+
+        got = grad_of(slice_axis)
+        want = grad_of(oracles.padded_slice_axis)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), trial
+
+
+def test_take_rows_backward_matches_add_at():
+    # unique rows, permutations and repeated rows (negative indices too):
+    # bit for bit what np.add.at accumulates, sign of zero included
+    rng = np.random.default_rng(49)
+    for trial in range(120):
+        n = int(rng.integers(1, 12))
+        if trial % 3 == 0:
+            idx = rng.permutation(n)
+        elif trial % 3 == 1:
+            idx = np.repeat(np.arange(n), 2)[np.argsort(rng.integers(0, 3, 2 * n), kind="stable")]
+        else:
+            idx = rng.integers(-n, n, size=int(rng.integers(0, 3 * n)))
+        g = rng.standard_normal((idx.size, 3)).astype(np.float32)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        x = Tensor(rng.standard_normal((n, 3)).astype(np.float32), requires_grad=True)
+        sum_(take_rows(x, idx) * Tensor(g)).backward()
+        want = np.zeros((n, 3), dtype=np.float32)
+        np.add.at(want, idx, g)
+        assert x.grad.tobytes() == want.tobytes(), trial
+
+
+def test_gradcheck_take_rows_duplicates_and_permutation():
+    rng = np.random.default_rng(50)
+    x = _param(rng, 5, 3)
+    twice = np.array([3, 0, 1, 3, 4, 2, 0, 1, 2, 4])  # every row twice, as a sorted dispatch
+    perm = np.array([2, 4, 0, 3, 1])
+    w = Tensor(rng.standard_normal((10, 3)))
+
+    def loss_fn():
+        spread = take_rows(x, twice) * w
+        back = take_rows(reshape(spread, (5, 2, 3)), perm)
+        return mean(back * back)
+
+    assert_grads_close(loss_fn, {"x": x})
+
+
 def test_grad_not_tracked_for_constants():
     x = Tensor(np.ones((2, 2)))
     w = Tensor(np.ones((2, 2)), requires_grad=True)

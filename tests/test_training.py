@@ -6,13 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moeformer import ConfigError, TrainingDiverged
+from moeformer import ConfigError, ParameterError, TrainingDiverged
 from moeformer.moe import MoELayer
 from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec
+from moeformer.tensor import Tensor
 from moeformer.training import (
+    Adam,
     TrainConfig,
     build_model,
+    clip_gradients,
     metrics_line,
     train,
     write_metrics,
@@ -136,9 +139,6 @@ def test_adapter_group_count_must_match_languages():
 
 
 def test_warmup_schedule():
-    from moeformer.training import Adam
-    from moeformer.tensor import Tensor
-
     p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     opt = Adam([("p", p)], lr=1.0, warmup_steps=4)
     lrs = []
@@ -146,3 +146,54 @@ def test_warmup_schedule():
         p.grad = np.ones(3, dtype=np.float32)
         lrs.append(opt.step())
     assert lrs == [0.25, 0.5, 0.75, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_norm", [0.0, 0.5])
+def test_flat_adam_matches_per_tensor_oracle(dtype, max_norm):
+    # parameters and both moments bit for bit against the per-tensor loop;
+    # p1 has no gradient on odd steps, step 5 reuses the previous gradients,
+    # p4 is larger than one vector chunk
+    rng = np.random.default_rng(11)
+    shapes = [(5, 7), (7,), (), (3, 4, 2), (40000,), (6,)]
+    init = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    flat = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+    ref = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+    opt = Adam(flat, lr=1e-2, warmup_steps=3)
+    oracle = oracles.PerTensorAdam(ref, lr=1e-2, warmup_steps=3)
+    for step in range(12):
+        for i, ((_, p), (_, q)) in enumerate(zip(flat, ref)):
+            if step == 5:  # keep the previous step's gradients
+                continue
+            if i == 1 and step % 2:
+                p.grad = q.grad = None
+            else:
+                g = (rng.standard_normal(shapes[i]) * rng.uniform(0.01, 2.0)).astype(dtype)
+                p.grad, q.grad = g.copy(), g.copy()
+        norm = clip_gradients(opt, max_norm)
+        ref_norm = oracles.per_tensor_clip([q for _, q in ref], max_norm)
+        assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+        if max_norm and step != 5:  # step 5's reused gradients are clipped already
+            assert norm > max_norm
+        assert opt.step() == oracle.step()
+        for i, ((_, p), (_, q)) in enumerate(zip(flat, ref)):
+            lo, hi = opt.offsets[i], opt.offsets[i + 1]
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == q.data.tobytes(), (step, i)
+            assert opt.m[lo:hi].tobytes() == oracle.m[i].tobytes(), (step, i)
+            assert opt.v[lo:hi].tobytes() == oracle.v[i].tobytes(), (step, i)
+
+
+def test_rebound_parameter_data_is_rejected():
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    opt = Adam([("a", a), ("b", b)], lr=0.1)
+    assert np.shares_memory(a.data, opt.data) and np.shares_memory(b.data, opt.data)
+    b.data = b.data.copy()  # updates would no longer reach b
+    a.grad = np.ones(3, dtype=np.float32)
+    b.grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(ParameterError, match="parameter b ") as exc:
+        opt.step()
+    assert len(str(exc.value).splitlines()) == 1
+    with pytest.raises(ParameterError, match="parameter b "):
+        clip_gradients(opt, 1.0)
