@@ -6,7 +6,7 @@ accounting, and a synthetic multi-language training harness.
 """
 
 from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverged
-from .tensor import Tensor, count_macs, top_k
+from .tensor import Tensor, count_macs
 
 __all__ = [
     "CheckpointError",
@@ -15,5 +15,4 @@ __all__ = [
     "TrainingDiverged",
     "Tensor",
     "count_macs",
-    "top_k",
 ]

@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .accounting import count_params, fitted_remainder, report_kv, report_lines
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
 from .config import encoder_from_flat, parse_kv_file, parse_kv_text
@@ -20,7 +18,6 @@ from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverg
 from .evaluation import compare_adapter_vs_moe, evaluate, routing_stream
 from .synth import task_from_flat
 from .training import (
-    TrainConfig,
     build_model,
     checkpoint_config_text,
     metrics_line,
@@ -171,6 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject out-of-range numeric options before any work starts."""
+    for flag, least in (("seed", 0), ("batches", 1), ("batch_size", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+
+
 HANDLERS = {
     "train": cmd_train,
     "eval": cmd_eval,
@@ -183,6 +188,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return HANDLERS[args.command](args)
     except (ConfigError, ParameterError, CheckpointError, TrainingDiverged,
             OSError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .config import ConformerLayerConfig, EncoderConfig, plan
 from .errors import ParameterError
-from .moe import ExpertFFN, MoELayer, RoutingDecision
+from .moe import ExpertFFN, MoELayer, RoutingDecision, _grouped_dispatch
 from .tensor import Tensor
 
 Array = np.ndarray
@@ -85,44 +85,34 @@ def attention_window_mask(num_frames: int, left: int, right: int) -> Array:
 # parameter initialization
 
 
-def _linear_init(rng, fan_in: int, shape, dtype) -> Array:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 class _ParamFactory:
-    """Draws parameters in a fixed order so a seed fully determines the model."""
+    """Draws parameters in a fixed order so a seed fully determines the model,
+    and names each one as it draws it: ``named`` is the model's parameter
+    list, in draw order."""
 
     def __init__(self, rng: np.random.Generator, dtype):
         self.rng = rng
         self.dtype = dtype
+        self.named: list[tuple[str, Tensor]] = []
 
-    def linear(self, d_in: int, d_out: int):
-        w = Tensor(_linear_init(self.rng, d_in, (d_in, d_out), self.dtype), requires_grad=True)
-        b = Tensor(np.zeros(d_out, dtype=self.dtype), requires_grad=True)
-        return w, b
+    def _add(self, name: str, data: Array) -> Tensor:
+        p = Tensor(data, requires_grad=True)
+        self.named.append((name, p))
+        return p
 
-    def conv_full(self, kernel: int, c_in: int, c_out: int):
-        w = Tensor(
-            _linear_init(self.rng, kernel * c_in, (kernel, c_in, c_out), self.dtype),
-            requires_grad=True,
-        )
-        b = Tensor(np.zeros(c_out, dtype=self.dtype), requires_grad=True)
-        return w, b
+    def uniform(self, name: str, fan_in: int, *shape) -> Tensor:
+        bound = 1.0 / np.sqrt(fan_in)
+        return self._add(name, self.rng.uniform(-bound, bound, size=shape).astype(self.dtype))
 
-    def conv_depthwise(self, kernel: int, channels: int):
-        w = Tensor(_linear_init(self.rng, kernel, (kernel, channels), self.dtype),
-                   requires_grad=True)
-        b = Tensor(np.zeros(channels, dtype=self.dtype), requires_grad=True)
-        return w, b
+    def zeros(self, name: str, *shape) -> Tensor:
+        return self._add(name, np.zeros(shape, dtype=self.dtype))
 
-    def norm(self, dim: int):
-        g = Tensor(np.ones(dim, dtype=self.dtype), requires_grad=True)
-        b = Tensor(np.zeros(dim, dtype=self.dtype), requires_grad=True)
-        return g, b
+    def linear(self, prefix: str, d_in: int, d_out: int, w: str = "w", b: str = "b"):
+        return self.uniform(prefix + w, d_in, d_in, d_out), self.zeros(prefix + b, d_out)
 
-    def zeros(self, *shape):
-        return Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+    def norm(self, prefix: str, dim: int) -> _Norm:
+        return _Norm(self._add(prefix + "g", np.ones(dim, dtype=self.dtype)),
+                     self.zeros(prefix + "b", dim))
 
 
 # --------------------------------------------------------------------------
@@ -136,10 +126,6 @@ class _Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w) + self.b
 
-    def parameters(self):
-        yield "w", self.w
-        yield "b", self.b
-
 
 class _Norm:
     def __init__(self, g: Tensor, b: Tensor):
@@ -147,10 +133,6 @@ class _Norm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.g, self.b)
-
-    def parameters(self):
-        yield "g", self.g
-        yield "b", self.b
 
 
 class FFNBlock:
@@ -164,14 +146,6 @@ class FFNBlock:
         h = self.ln(x)
         h = T.matmul(T.swish(T.matmul(h, self.w1) + self.b1), self.w2) + self.b2
         return x + h * 0.5
-
-    def parameters(self):
-        for name, p in self.ln.parameters():
-            yield f"ln.{name}", p
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
 
 
 class MoEBlock:
@@ -191,20 +165,12 @@ class MoEBlock:
             y = y * self.residual_scale
         return x + y, decision
 
-    def parameters(self):
-        for name, p in self.ln.parameters():
-            yield f"ln.{name}", p
-        for name, p in self.moe.parameters():
-            yield name, p
-
 
 class AttentionBlock:
-    def __init__(self, ln: _Norm, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
+    def __init__(self, ln: _Norm, q: _Linear, k: _Linear, v: _Linear, o: _Linear,
+                 heads: int):
         self.ln = ln
-        self.q = _Linear(wq, bq)
-        self.k = _Linear(wk, bk)
-        self.v = _Linear(wv, bv)
-        self.o = _Linear(wo, bo)
+        self.q, self.k, self.v, self.o = q, k, v, o
         self.heads = heads
 
     def __call__(self, x: Tensor, mask: Array) -> Tensor:
@@ -220,13 +186,6 @@ class AttentionBlock:
                                  split(self.v(hidden)), mask)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
         return x + self.o(out)
-
-    def parameters(self):
-        for name, p in self.ln.parameters():
-            yield f"ln.{name}", p
-        for tag, lin in (("q", self.q), ("k", self.k), ("v", self.v), ("o", self.o)):
-            yield f"w{tag}", lin.w
-            yield f"b{tag}", lin.b
 
 
 class ConvBlock:
@@ -248,18 +207,6 @@ class ConvBlock:
         h = T.swish(self.mid_ln(h))
         return x + self.pw2(h)
 
-    def parameters(self):
-        for name, p in self.ln.parameters():
-            yield f"ln.{name}", p
-        for name, p in self.pw1.parameters():
-            yield f"pw1.{name}", p
-        yield "dw.w", self.dw_w
-        yield "dw.b", self.dw_b
-        for name, p in self.mid_ln.parameters():
-            yield f"mid_ln.{name}", p
-        for name, p in self.pw2.parameters():
-            yield f"pw2.{name}", p
-
 
 class ConformerLayer:
     def __init__(self, cfg: ConformerLayerConfig, start, attn: AttentionBlock,
@@ -271,40 +218,25 @@ class ConformerLayer:
         self.end = end
         self.out_ln = out_ln
 
-    def forward(self, x: Tensor, mask: Array,
-                decisions: list[RoutingDecision] | None) -> Tensor:
-        if isinstance(self.start, MoEBlock):
-            x, d = self.start(x)
-            if decisions is not None:
-                decisions.append(d)
-        else:
-            x = self.start(x)
+    def forward(self, x: Tensor, mask: Array, decisions: list[RoutingDecision]) -> Tensor:
+        """One layer; each expert-routed sublayer appends its routing record
+        to ``decisions``."""
+
+        def feed_forward(block, x):
+            if isinstance(block, MoEBlock):
+                x, decision = block(x)
+                decisions.append(decision)
+                return x
+            return block(x)
+
+        x = feed_forward(self.start, x)
         x = self.attn(x, mask)
         x = self.conv(x)
-        if isinstance(self.end, MoEBlock):
-            x, d = self.end(x)
-            if decisions is not None:
-                decisions.append(d)
-        else:
-            x = self.end(x)
+        x = feed_forward(self.end, x)
         return self.out_ln(x)
 
     def moe_blocks(self) -> list[MoEBlock]:
         return [s for s in (self.start, self.end) if isinstance(s, MoEBlock)]
-
-    def parameters(self):
-        start_tag = "moe_start" if isinstance(self.start, MoEBlock) else "ffn_start"
-        end_tag = "moe_end" if isinstance(self.end, MoEBlock) else "ffn_end"
-        for name, p in self.start.parameters():
-            yield f"{start_tag}.{name}", p
-        for name, p in self.attn.parameters():
-            yield f"attn.{name}", p
-        for name, p in self.conv.parameters():
-            yield f"conv.{name}", p
-        for name, p in self.end.parameters():
-            yield f"{end_tag}.{name}", p
-        for name, p in self.out_ln.parameters():
-            yield f"out_ln.{name}", p
 
 
 class AdapterGroup:
@@ -315,12 +247,6 @@ class AdapterGroup:
     def __call__(self, x: Tensor) -> Tensor:
         return x + self.up(T.swish(self.down(x)))
 
-    def parameters(self):
-        for name, p in self.down.parameters():
-            yield f"down.{name}", p
-        for name, p in self.up.parameters():
-            yield f"up.{name}", p
-
 
 class AdapterBank:
     """One residual adapter per group; the caller selects by group id."""
@@ -330,6 +256,7 @@ class AdapterBank:
         self.usage = np.zeros(len(groups), dtype=np.int64)
 
     def forward(self, x: Tensor, group_ids: Array) -> Tensor:
+        """Each sequence through its group's adapter, one batch per group."""
         group_ids = np.asarray(group_ids)
         if group_ids.shape != (x.shape[0],):
             raise ParameterError(
@@ -340,57 +267,50 @@ class AdapterBank:
             raise ParameterError(
                 f"adapters: group id out of range 0..{len(self.groups) - 1}"
             )
-        out = None
-        for g in np.unique(group_ids):
-            rows = np.nonzero(group_ids == g)[0]
-            self.usage[g] += rows.size * x.shape[1]
-            piece = self.groups[int(g)](T.take_rows(x, rows))
-            scattered = T.scatter_rows(piece, rows, x.shape[0])
-            out = scattered if out is None else out + scattered
-        return out if out is not None else x
-
-    def parameters(self):
-        for i, group in enumerate(self.groups):
-            for name, p in group.parameters():
-                yield f"group{i}.{name}", p
+        counts = np.bincount(group_ids, minlength=len(self.groups))
+        self.usage += counts * x.shape[1]
+        return _grouped_dispatch(x, group_ids, counts, lambda g, rows: self.groups[g](rows))
 
 
 # --------------------------------------------------------------------------
 # encoder assembly
 
 
-def _build_layer(cfg: ConformerLayerConfig, make: _ParamFactory) -> ConformerLayer:
+def _build_layer(cfg: ConformerLayerConfig, make: _ParamFactory, prefix: str) -> ConformerLayer:
     d = cfg.model_dim
 
-    def ffn_or_moe(placed: bool):
-        ln = _Norm(*make.norm(d))
+    def two_layer(p: str, hidden: int):
+        return (*make.linear(p, d, hidden, "w1", "b1"), *make.linear(p, hidden, d, "w2", "b2"))
+
+    def ffn_or_moe(placed: bool, site: str):
         if not placed:
-            w1, b1 = make.linear(d, cfg.ffn_mult * d)
-            w2, b2 = make.linear(cfg.ffn_mult * d, d)
-            return FFNBlock(ln, w1, b1, w2, b2)
-        gate = make.zeros(d, cfg.num_experts)  # uniform routing at step 0
-        experts = []
-        for _ in range(cfg.num_experts):
-            w1, b1 = make.linear(d, cfg.expert_mult * d)
-            w2, b2 = make.linear(cfg.expert_mult * d, d)
-            experts.append(ExpertFFN(w1, b1, w2, b2))
+            p = f"{prefix}ffn_{site}."
+            return FFNBlock(make.norm(p + "ln.", d), *two_layer(p, cfg.ffn_mult * d))
+        p = f"{prefix}moe_{site}."
+        ln = make.norm(p + "ln.", d)
+        gate = make.zeros(p + "gate_w", d, cfg.num_experts)  # uniform routing at step 0
+        experts = [ExpertFFN(*two_layer(f"{p}expert{i}.", cfg.expert_mult * d))
+                   for i in range(cfg.num_experts)]
         return MoEBlock(ln, MoELayer(gate, experts), cfg.moe_residual_scale)
 
-    start = ffn_or_moe(cfg.moe_sites[0])
+    start = ffn_or_moe(cfg.moe_sites[0], "start")
+    p = prefix + "attn."
     attn = AttentionBlock(
-        _Norm(*make.norm(d)),
-        *make.linear(d, d), *make.linear(d, d), *make.linear(d, d), *make.linear(d, d),
+        make.norm(p + "ln.", d),
+        *(_Linear(*make.linear(p, d, d, f"w{tag}", f"b{tag}")) for tag in "qkvo"),
         heads=cfg.heads,
     )
+    p = prefix + "conv."
     conv = ConvBlock(
-        _Norm(*make.norm(d)),
-        _Linear(*make.linear(d, 2 * d)),
-        *make.conv_depthwise(cfg.conv_kernel, d),
-        _Norm(*make.norm(d)),
-        _Linear(*make.linear(d, d)),
+        make.norm(p + "ln.", d),
+        _Linear(*make.linear(p + "pw1.", d, 2 * d)),
+        make.uniform(p + "dw.w", cfg.conv_kernel, cfg.conv_kernel, d),
+        make.zeros(p + "dw.b", d),
+        make.norm(p + "mid_ln.", d),
+        _Linear(*make.linear(p + "pw2.", d, d)),
     )
-    end = ffn_or_moe(cfg.moe_sites[1])
-    return ConformerLayer(cfg, start, attn, conv, end, _Norm(*make.norm(d)))
+    end = ffn_or_moe(cfg.moe_sites[1], "end")
+    return ConformerLayer(cfg, start, attn, conv, end, make.norm(prefix + "out_ln.", d))
 
 
 class EncoderModel:
@@ -405,9 +325,12 @@ class EncoderModel:
 
         fe = config.frontend
         ib = config.input_block
-        self.input_proj = _Linear(*make.linear(fe.stacked_dim, ib.out_dim))
+        self.input_proj = _Linear(*make.linear("frontend.proj.", fe.stacked_dim, ib.out_dim))
         self.input_convs = [
-            make.conv_full(ib.kernel, ib.out_dim, ib.out_dim) for _ in range(ib.num_convs)
+            (make.uniform(f"frontend.conv{i}.w", ib.kernel * ib.out_dim,
+                          ib.kernel, ib.out_dim, ib.out_dim),
+             make.zeros(f"frontend.conv{i}.b", ib.out_dim))
+            for i in range(ib.num_convs)
         ]
 
         # one width-matching projection (or None) and one layer per stage
@@ -415,38 +338,31 @@ class EncoderModel:
         self.projs: list[_Linear | None] = []
         self.layers: list[ConformerLayer] = []
         for stage in self.stages:
-            self.projs.append(_Linear(*make.linear(*stage.proj)) if stage.proj else None)
-            self.layers.append(_build_layer(stage.layer, make))
+            self.projs.append(
+                _Linear(*make.linear(f"{stage.stack}.proj{stage.index}.", *stage.proj))
+                if stage.proj else None)
+            self.layers.append(_build_layer(stage.layer, make, f"{stage.stack}.{stage.index}."))
 
         self.adapter_banks: list[AdapterBank] = []
         if config.adapters is not None:
             a = config.adapters
-            for layer_cfg in config.non_causal:
+            for i, layer_cfg in enumerate(config.non_causal):
+                d = layer_cfg.model_dim
                 groups = []
-                for _ in range(a.num_groups):
-                    down = _Linear(*make.linear(layer_cfg.model_dim, a.dim))
-                    up_w = make.zeros(a.dim, layer_cfg.model_dim)  # identity at init
-                    up_b = make.zeros(layer_cfg.model_dim)
-                    groups.append(AdapterGroup(down, _Linear(up_w, up_b)))
+                for g in range(a.num_groups):
+                    p = f"adapters.{i}.group{g}."
+                    down = _Linear(*make.linear(p + "down.", d, a.dim))
+                    up = _Linear(make.zeros(p + "up.w", a.dim, d),  # identity at init
+                                 make.zeros(p + "up.b", d))
+                    groups.append(AdapterGroup(down, up))
                 self.adapter_banks.append(AdapterBank(groups))
+        self._params = make.named
 
     # -- parameter access ---------------------------------------------------
 
-    def parameters(self):
-        yield "frontend.proj.w", self.input_proj.w
-        yield "frontend.proj.b", self.input_proj.b
-        for i, (w, b) in enumerate(self.input_convs):
-            yield f"frontend.conv{i}.w", w
-            yield f"frontend.conv{i}.b", b
-        for stage, proj, layer in zip(self.stages, self.projs, self.layers):
-            if proj is not None:
-                for name, p in proj.parameters():
-                    yield f"{stage.stack}.proj{stage.index}.{name}", p
-            for name, p in layer.parameters():
-                yield f"{stage.stack}.{stage.index}.{name}", p
-        for i, bank in enumerate(self.adapter_banks):
-            for name, p in bank.parameters():
-                yield f"adapters.{i}.{name}", p
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        """(name, tensor) for every parameter, in draw order."""
+        return list(self._params)
 
     def num_params(self) -> int:
         return sum(p.size for _, p in self.parameters())
@@ -460,13 +376,12 @@ class EncoderModel:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, features, mode: str = "cascaded", language_ids=None,
-                collect_routing: bool = False):
+    def forward(self, features, mode: str = "cascaded", language_ids=None):
         """Encode raw features.
 
         ``features`` is (B, T, d) or (T, d) numpy. Returns (encodings,
         decisions); decisions is the ordered list of per-MoE-sublayer routing
-        records when ``collect_routing`` is set, else an empty list.
+        records.
         """
         if mode not in ("causal_only", "cascaded"):
             raise ParameterError(f"unknown forward mode {mode!r}")
@@ -490,7 +405,6 @@ class EncoderModel:
             x = T.swish(T.causal_conv(x, w, b))
 
         decisions: list[RoutingDecision] = []
-        sink = decisions if collect_routing else None
         masks: dict[tuple[int, int, int], Array] = {}
 
         def mask_for(cfg: ConformerLayerConfig, frames: int) -> Array:
@@ -507,7 +421,7 @@ class EncoderModel:
                 break
             if proj is not None:
                 x = proj(x)
-            x = layer.forward(x, mask_for(layer.cfg, x.shape[1]), sink)
+            x = layer.forward(x, mask_for(layer.cfg, x.shape[1]), decisions)
             if self.adapter_banks and not layer.cfg.causal:
                 if language_ids is None:
                     raise ParameterError("adapters are enabled but no group ids were given")

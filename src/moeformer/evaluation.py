@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .moe import over_capacity_ratio, routing_records
 from .synth import SyntheticTaskSpec, frame_targets, generate_batch
 from .tensor import no_grad
-from .training import TrainConfig, TrainedModel, frame_accuracy, train
+from .training import TrainConfig, TrainedModel, train
 
 
 def mutual_information_bits(joint_counts: np.ndarray) -> float:
@@ -139,9 +139,7 @@ def evaluate(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 16
         targets = frame_targets(labels, downsample)
         with no_grad():
             logits, decisions = model.logits(
-                feats, language_ids=langs if uses_adapters else None,
-                collect_routing=True,
-            )
+                feats, language_ids=langs if uses_adapters else None)
         pred = logits.data.argmax(axis=-1)
         correct += int((pred == targets).sum())
         total += targets.size
@@ -195,10 +193,7 @@ def routing_stream(model: TrainedModel, task: SyntheticTaskSpec, num_batches: in
     for batch in range(num_batches):
         feats, labels, langs = generate_batch(task, rng, batch_size)
         with no_grad():
-            _, decisions = model.logits(
-                feats, language_ids=langs if uses_adapters else None,
-                collect_routing=True,
-            )
+            _, decisions = model.logits(feats, language_ids=langs if uses_adapters else None)
         for li, decision in enumerate(decisions):
             for line in routing_records(li, decision, capacity_factor):
                 lines.append(f"batch={batch} {line}")
@@ -219,10 +214,8 @@ def _ignores_language_ids(model: TrainedModel, task: SyntheticTaskSpec,
     for _ in range(num_batches):
         feats, _, langs = generate_batch(task, rng, batch_size)
         with no_grad():
-            logits, decisions = model.logits(feats, language_ids=langs,
-                                             collect_routing=True)
-            relabelled, permuted = model.logits(feats, language_ids=permutation[langs],
-                                                collect_routing=True)
+            logits, decisions = model.logits(feats, language_ids=langs)
+            relabelled, permuted = model.logits(feats, language_ids=permutation[langs])
         if not (np.array_equal(logits.data, relabelled.data)
                 and all(np.array_equal(a.top2_idx, b.top2_idx)
                         for a, b in zip(decisions, permuted))):

@@ -68,12 +68,6 @@ class ExpertFFN:
     def forward(self, x: Tensor) -> Tensor:
         return T.matmul(T.swish(T.matmul(x, self.w1) + self.b1), self.w2) + self.b2
 
-    def parameters(self):
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
-
 
 class MoELayer:
     """Gate matrix plus identically shaped expert feed-forward networks."""
@@ -95,12 +89,6 @@ class MoELayer:
     def model_dim(self) -> int:
         return int(self.gate_w.shape[0])
 
-    def parameters(self):
-        yield "gate_w", self.gate_w
-        for i, expert in enumerate(self.experts):
-            for name, p in expert.parameters():
-                yield f"expert{i}.{name}", p
-
     def reset_evaluations(self) -> None:
         self.evaluations = 0
 
@@ -115,32 +103,44 @@ class MoELayer:
     def forward(self, x: Tensor) -> tuple[Tensor, RoutingDecision]:
         """Route each frame through its two selected experts only.
 
-        One grouped dispatch: a stable sort of the (frame, slot) expert ids
-        puts each expert's frames in one contiguous run, in ascending frame
-        order; one gather builds the sorted input, each selected expert runs
-        its run in one batch, and one inverse gather brings the outputs back
-        to (frame, slot) order, where they are scaled by their gate
-        probability and the two slots summed. Experts that no frame selected
-        never execute (and receive no gradient).
+        One grouped dispatch over the (frame, slot) expert ids runs each
+        selected expert once on all of its frames; the outputs, back in
+        (frame, slot) order, are scaled by their gate probability and the two
+        slots summed. Experts that no frame selected never execute (and
+        receive no gradient).
         """
         gates = self.gate(x)
         decision = route_top2(gates)
         frames = decision.num_frames
         if frames == 0:
             return T.Tensor(np.zeros_like(x.data)), decision
-        order = np.argsort(decision.top2_idx.reshape(-1), kind="stable")
-        grouped = T.take_rows(x, order // 2)
-        ends = np.cumsum(decision.counts)
-        outs = []
-        for i in np.flatnonzero(decision.counts):
-            start = ends[i] - decision.counts[i]
-            self.evaluations += int(decision.counts[i])
-            outs.append(self.experts[i].forward(T.slice_axis(grouped, 0, start, ends[i])))
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        out = T.reshape(T.take_rows(T.concat(outs, axis=0), inverse), (frames, 2, -1))
+        self.evaluations += int(decision.counts.sum())
+        out = _grouped_dispatch(x, decision.top2_idx.reshape(-1), decision.counts,
+                                lambda i, rows: self.experts[i].forward(rows), slots=2)
+        out = T.reshape(out, (frames, 2, -1))
         weight = T.reshape(decision.top2_gates, (frames, 2, 1))
         return T.sum_(out * weight, axis=1), decision
+
+
+def _grouped_dispatch(x: Tensor, owner: np.ndarray, counts: np.ndarray, run,
+                      slots: int = 1) -> Tensor:
+    """Send entry r, a copy of row ``r // slots`` of ``x``, through module
+    ``owner[r]``; returns the outputs in entry order.
+
+    A stable sort of ``owner`` puts each module's entries in one contiguous
+    run, in ascending entry order; one gather builds the sorted input,
+    ``run(i, rows)`` runs module i on its whole run at once, and one inverse
+    gather restores the entry order. ``counts[i]`` is the number of entries
+    module i owns; a module that owns none never runs.
+    """
+    order = np.argsort(owner, kind="stable")
+    grouped = T.take_rows(x, order // slots)
+    ends = np.cumsum(counts)
+    outs = [run(i, T.slice_axis(grouped, 0, ends[i] - counts[i], ends[i]))
+            for i in np.flatnonzero(counts)]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return T.take_rows(T.concat(outs, axis=0), inverse)
 
 
 def route_top2(gates: Tensor) -> RoutingDecision:
@@ -163,23 +163,6 @@ def route_top2(gates: Tensor) -> RoutingDecision:
         counts=counts,
         num_frames=num_frames,
     )
-
-
-def combine(decision: RoutingDecision, expert_outputs: tuple[Tensor, Tensor]) -> Tensor:
-    """Weighted sum of the two selected experts' outputs with raw gate weights."""
-    first, second = expert_outputs
-    if first.shape != second.shape:
-        raise ParameterError(
-            f"combine: expert outputs disagree, {first.shape} vs {second.shape}"
-        )
-    if first.shape[0] != decision.num_frames:
-        raise ParameterError(
-            f"combine: outputs cover {first.shape[0]} frames, decision has "
-            f"{decision.num_frames}"
-        )
-    g1 = T.slice_axis(decision.top2_gates, 1, 0, 1)
-    g2 = T.slice_axis(decision.top2_gates, 1, 1, 2)
-    return first * g1 + second * g2
 
 
 def aux_load_balance_loss(decision: RoutingDecision) -> Tensor:

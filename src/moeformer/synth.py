@@ -41,6 +41,8 @@ class SyntheticTaskSpec:
             raise ConfigError("frames_per_token and feature_dim must be >= 1")
         if self.noise_scale < 0 or self.language_offset_scale < 0:
             raise ConfigError("noise_scale and language_offset_scale must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("task seed must be >= 0")
 
     @property
     def num_labels(self) -> int:
@@ -162,18 +164,3 @@ def task_from_flat(raw: dict[str, str], prefix: str = "task.") -> SyntheticTaskS
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     spec.validate()
     return spec
-
-
-def task_to_flat(spec: SyntheticTaskSpec, prefix: str = "task.") -> str:
-    return "\n".join([
-        f"{prefix}languages={spec.num_languages}",
-        f"{prefix}feature_dim={spec.feature_dim}",
-        f"{prefix}tokens_per_language={spec.tokens_per_language}",
-        f"{prefix}shared_tokens={spec.shared_tokens}",
-        f"{prefix}min_tokens={spec.min_tokens}",
-        f"{prefix}max_tokens={spec.max_tokens}",
-        f"{prefix}frames_per_token={spec.frames_per_token}",
-        f"{prefix}noise={spec.noise_scale:g}",
-        f"{prefix}language_offset={spec.language_offset_scale:g}",
-        f"{prefix}seed={spec.seed}",
-    ]) + "\n"

@@ -118,12 +118,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -501,28 +495,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def masked_softmax(x: Tensor, mask: Array, axis: int = -1) -> Tensor:
-    """Softmax over the positions where ``mask`` is True; masked entries get 0.
-
-    Masked logits never influence the result (the row max is taken after
-    masking), so perturbing them leaves the output bit-identical.
-    """
-    ax = _normalize_axis(axis, x.ndim)
-    mask = np.broadcast_to(mask, x.shape)
-    if not mask.any(axis=ax).all():
-        raise ParameterError("masked_softmax: some row has no unmasked entry")
-    filled = np.where(mask, x.data, -np.inf)
-    m = filled.max(axis=ax, keepdims=True)
-    e = np.exp(filled - m)
-    data = e / e.sum(axis=ax, keepdims=True)
-
-    def backward(g: Array) -> None:
-        inner = (g * data).sum(axis=ax, keepdims=True)
-        _accum(x, data * (g - inner))
-
-    return _make(data, (x,), backward)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
@@ -747,7 +719,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# gather / scatter (selection indices are constants under differentiation)
+# gathers (selection indices are constants under differentiation)
 
 
 def take_rows(x: Tensor, idx: Array) -> Tensor:
@@ -785,18 +757,6 @@ def _add_rows_at(out: Array, idx: Array, g: Array) -> None:
         out[rows[pick]] += g[pick]
 
 
-def scatter_rows(values: Tensor, idx: Array, size: int) -> Tensor:
-    """Place rows of ``values`` at positions ``idx`` of a zero (size, ...) tensor."""
-    idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(data, idx, values.data)
-
-    def backward(g: Array) -> None:
-        _accum(values, g[idx])
-
-    return _make(data, (values,), backward)
-
-
 def take_entries(x: Tensor, rows: Array, cols: Array) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -825,23 +785,3 @@ def take_index_last(x: Tensor, idx: Array) -> Tensor:
         _accum(x, gx)
 
     return _make(data, (x,), backward)
-
-
-# --------------------------------------------------------------------------
-# selection
-
-
-def top_k(values, k: int) -> tuple[Array, Array]:
-    """Indices and values of the k largest entries of a vector, descending.
-
-    Ties break toward the lowest index. Not differentiable by design: routing
-    selections are constants under differentiation.
-    """
-    v = values.data if isinstance(values, Tensor) else np.asarray(values)
-    if v.ndim != 1:
-        raise ParameterError(f"top_k: expected a vector, got shape {v.shape}")
-    if k <= 0 or k > v.shape[0]:
-        raise ParameterError(f"top_k: k={k} invalid for length {v.shape[0]}")
-    order = np.argsort(-v, kind="stable")
-    idx = order[:k]
-    return idx.astype(np.int64), v[idx]

@@ -39,6 +39,8 @@ class TrainConfig:
             raise ConfigError("steps and batch_size must be >= 1")
         if self.aux_weight < 0:
             raise ConfigError("aux_weight must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("train seed must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
 
@@ -96,11 +98,8 @@ class TrainedModel:
         for _, p in self.parameters():
             p.grad = None
 
-    def logits(self, features, language_ids=None, collect_routing=False):
-        enc, decisions = self.encoder.forward(
-            features, mode="cascaded", language_ids=language_ids,
-            collect_routing=collect_routing,
-        )
+    def logits(self, features, language_ids=None):
+        enc, decisions = self.encoder.forward(features, language_ids=language_ids)
         return T.matmul(enc, self.head_w) + self.head_b, decisions
 
 
@@ -317,10 +316,7 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
         if train_cfg.specaug:
             feats = np.stack([spec_augment(f, aug_rng) for f in feats])
         targets = frame_targets(labels, downsample)
-        logits, decisions = model.logits(
-            feats, language_ids=langs if uses_adapters else None,
-            collect_routing=True,
-        )
+        logits, decisions = model.logits(feats, language_ids=langs if uses_adapters else None)
         ce = cross_entropy(logits, targets)
         loss = ce
         aux_values = []

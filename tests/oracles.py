@@ -1,9 +1,9 @@
 """Independent numpy reference implementations used as test oracles.
 
 Everything here is written against raw arrays, deliberately sharing no code
-with the package's graph ops, except ``dense_moe_forward`` and
-``padded_slice_axis``: those are built from tensor ops so that a graph using
-them still backpropagates.
+with the package's graph ops, except ``dense_moe_forward``,
+``per_group_adapters`` and ``padded_slice_axis``: those are built from tensor
+ops so that a graph using them still backpropagates.
 """
 
 from __future__ import annotations
@@ -74,6 +74,25 @@ def dense_moe_forward(layer, x):
         term = expert.forward(x) * weight
         y = term if y is None else y + term
     return y, decision
+
+
+def per_group_adapters(bank, x, group_ids):
+    """``AdapterBank.forward`` one group at a time: gather the group's
+    sequences, run its adapter, scatter the rows into a zero batch (one
+    ``np.add.at``), and sum the scattered batches over the groups present."""
+    out = None
+    for g in np.unique(group_ids):
+        rows = np.flatnonzero(group_ids == g)
+        piece = bank.groups[g](T.take_rows(x, rows))
+        data = np.zeros((x.shape[0],) + piece.shape[1:], dtype=piece.dtype)
+        np.add.at(data, rows, piece.data)
+
+        def backward(grad, piece=piece, rows=rows):
+            T._accum(piece, grad[rows])
+
+        scattered = T._make(data, (piece,), backward)
+        out = scattered if out is None else out + scattered
+    return out
 
 
 def brute_force_aux_loss(gates: np.ndarray) -> float:

@@ -181,3 +181,35 @@ def test_bad_config_echo_is_single_line_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert detail in err
+
+
+def _single_line_error(capsys, *details):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    assert all(detail in err for detail in details), err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--seed", "-1"], "--seed"),
+    (["eval", "--seed", "-1"], "--seed"),
+    (["route-stats", "--seed", "-1"], "--seed"),
+    (["eval", "--batch-size", "0"], "--batch-size"),
+    (["route-stats", "--batch-size", "0"], "--batch-size"),
+    (["eval", "--batches", "0"], "--batches"),
+    (["eval", "--batches", "-2"], "--batches"),
+])
+def test_bad_option_is_single_line_error(trained_dir, capsys, argv, flag):
+    command, *options = argv
+    extra = [] if command == "train" else ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    code = main([command, "--config", str(QUICK)] + extra + options)
+    assert code == 1
+    _single_line_error(capsys, flag)
+
+
+@pytest.mark.parametrize("key, value", [("train.seed", -1), ("task.seed", -3)])
+def test_negative_config_seed_is_single_line_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "seed.cfg"
+    bad.write_text(QUICK.read_text().replace(f"{key}=0", f"{key}={value}"))
+    code = main(["train", "--config", str(bad)])
+    assert code == 1
+    _single_line_error(capsys, "seed")

@@ -17,12 +17,14 @@ from moeformer.config import (
     parse_kv_file,
 )
 from moeformer.encoder import (
+    AdapterBank,
     build_encoder,
     frame_stack,
     spec_augment,
 )
 from moeformer.presets import desk_encoder
-from moeformer.tensor import Tensor
+from moeformer.training import build_model
+from moeformer.tensor import Tensor, mean
 
 import oracles
 
@@ -131,7 +133,7 @@ def test_plain_layer_matches_independent_oracle():
     x = rng.standard_normal((t, d))
     mask = oracles.attention_window_mask(t, layer.cfg.left_context, layer.cfg.right_context)
 
-    got = layer.forward(Tensor(x[None]), mask, None).data[0]
+    got = layer.forward(Tensor(x[None]), mask, []).data[0]
     expected = oracles.plain_conformer_layer(
         x, _first_noncausal_params(model), layer.cfg.heads, mask
     )
@@ -150,7 +152,7 @@ def test_moe_end_layer_matches_dense_two_expert_oracle():
     x = rng.standard_normal((t, d))
     mask = oracles.attention_window_mask(t, layer.cfg.left_context, layer.cfg.right_context)
 
-    got = layer.forward(Tensor(x[None]), mask, None).data[0]
+    got = layer.forward(Tensor(x[None]), mask, []).data[0]
     params = _first_noncausal_params(model)
     experts = [
         (params[f"moe_end.expert{i}.w1"], params[f"moe_end.expert{i}.b1"],
@@ -267,6 +269,37 @@ def test_build_determinism():
         np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
 
+def _held_parameters(root, skip):
+    """Every requires-grad leaf tensor reachable from ``root`` through the
+    attributes of package objects, lists and tuples, except through ``skip``."""
+    held, seen, stack = {}, {id(skip)}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            if obj.requires_grad and not obj._parents:
+                held[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("moeformer."):
+            stack.extend(vars(obj).values())
+    return held
+
+
+@pytest.mark.parametrize("stack_after", [0, 3])
+def test_parameter_list_holds_every_module_tensor(stack_after):
+    # layers, blocks, experts, adapter groups, projections, input convs, head
+    cfg = desk_encoder(adapters=AdapterConfig(dim=12, num_groups=3))
+    cfg.stack_after = stack_after
+    model = build_model(cfg, num_labels=5, seed=40)
+    named = list(model.parameters())
+    held = _held_parameters(model, skip=model.encoder._params)
+    assert len({name for name, _ in named}) == len(named) == len(held)
+    assert {id(p) for _, p in named} == held.keys()
+
+
 def test_build_seed_changes_parameters():
     cfg = tiny_config()
     a = build_encoder(cfg, seed=21)
@@ -301,7 +334,7 @@ def test_gate_zero_init_routes_uniformly():
     cfg = tiny_config(moe_placement="end", num_experts=4)
     model = build_encoder(cfg, seed=25)
     raw = np.random.default_rng(26).standard_normal((24, cfg.frontend.feature_dim))
-    _, decisions = model.forward(raw.astype(np.float32), collect_routing=True)
+    _, decisions = model.forward(raw.astype(np.float32))
     for d in decisions:
         np.testing.assert_allclose(d.gates.data, 1.0 / d.num_experts, atol=1e-6)
 
@@ -364,10 +397,45 @@ def test_adapter_parameter_count_closed_form():
     model = build_encoder(cfg, seed=35)
     d = cfg.non_causal[0].model_dim
     a = cfg.adapters.dim
-    for bank in model.adapter_banks:
-        for group in bank.groups:
-            count = sum(p.size for _, p in group.parameters())
+    params = model.parameters()
+    for j in range(len(cfg.non_causal)):
+        for g in range(cfg.adapters.num_groups):
+            prefix = f"adapters.{j}.group{g}."
+            count = sum(p.size for name, p in params if name.startswith(prefix))
             assert count == 2 * d * a + a + d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adapter_dispatch_matches_per_group_oracle(monkeypatch, dtype):
+    cfg = adapter_config()
+    raw = np.random.default_rng(38).standard_normal((4, 24, cfg.frontend.feature_dim))
+    ids = np.array([2, 0, 2, 2])  # group 1 absent, group 0 holds one sequence
+
+    def run():
+        model = build_encoder(cfg, seed=38, dtype=dtype)
+        rng = np.random.default_rng(39)
+        for bank in model.adapter_banks:
+            for group in bank.groups:
+                group.up.w.data[...] = rng.standard_normal(group.up.w.shape)
+        out, _ = model.forward(raw.astype(dtype), language_ids=ids)
+        mean(out * out).backward()
+        return model, out.data, {name: p.grad for name, p in model.parameters()}
+
+    model, out, grads = run()
+    frames = out.shape[1]
+    for bank in model.adapter_banks:
+        assert bank.usage.tolist() == [frames, 0, 3 * frames]
+    with monkeypatch.context() as m:
+        m.setattr(AdapterBank, "forward", oracles.per_group_adapters)
+        _, oracle_out, oracle_grads = run()
+    np.testing.assert_array_equal(out, oracle_out)
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        if grad is None:
+            assert oracle_grads[name] is None, name
+        else:
+            np.testing.assert_array_equal(grad, oracle_grads[name], err_msg=name)
+    assert all(grads[n] is None for n in grads if n.startswith("adapters.0.group1."))
 
 
 def test_adapter_unknown_group_rejected():

@@ -106,8 +106,8 @@ def test_evaluate_is_tape_free_and_matches_taped_forward(monkeypatch):
     logits = TrainedModel.logits
     calls = []
 
-    def recording(self, features, language_ids=None, collect_routing=False):
-        out = logits(self, features, language_ids, collect_routing)
+    def recording(self, features, language_ids=None):
+        out = logits(self, features, language_ids)
         calls.append((features, out))
         return out
 
@@ -118,7 +118,7 @@ def test_evaluate_is_tape_free_and_matches_taped_forward(monkeypatch):
     assert all(p.grad is None for _, p in model.parameters())
     for feats, (out, decisions) in calls:
         assert out._parents == () and out._backward is None
-        taped, taped_decisions = model.logits(feats, collect_routing=True)
+        taped, taped_decisions = model.logits(feats)
         assert taped._parents
         np.testing.assert_array_equal(out.data, taped.data)
         assert len(decisions) == len(taped_decisions) == 2
@@ -186,11 +186,10 @@ def test_compare_language_id_ablation_can_fail(monkeypatch):
     # an expert-routed model that does read the ids it is handed is caught
     forward = EncoderModel.forward
 
-    def id_dependent(self, features, mode="cascaded", language_ids=None,
-                     collect_routing=False):
+    def id_dependent(self, features, mode="cascaded", language_ids=None):
         if self.config.adapters is None and language_ids is not None:
             features = features + np.asarray(language_ids, dtype=features.dtype)[:, None, None]
-        return forward(self, features, mode, language_ids, collect_routing)
+        return forward(self, features, mode, language_ids)
 
     monkeypatch.setattr(EncoderModel, "forward", id_dependent)
     adapter_cfg, moe_cfg = paired_configs()

@@ -11,7 +11,6 @@ from moeformer.moe import (
     MoELayer,
     RoutingDecision,
     aux_load_balance_loss,
-    combine,
     over_capacity_ratio,
     route_top2,
     routing_records,
@@ -143,42 +142,6 @@ def test_route_selection_invariant_under_logit_shift():
 def test_route_rejects_single_expert():
     with pytest.raises(ConfigError):
         route_top2(tensor(np.ones((3, 1))))
-
-
-# --------------------------------------------------------------------------
-# combine
-
-
-def _decision_with_gates(g1, g2):
-    gates = tensor([[g1, g2]])
-    d = route_top2(gates)
-    return d
-
-
-def test_combine_basic():
-    d = _decision_with_gates(0.5, 0.3)
-    out = combine(d, (tensor([[1.0, 0.0]]), tensor([[0.0, 1.0]])))
-    np.testing.assert_allclose(out.data[0], [0.5, 0.3], atol=1e-7)
-
-
-def test_combine_hand_arithmetic():
-    gates = tensor([[0.4, 0.25, 0.2, 0.15]])
-    d = route_top2(gates)
-    out = combine(d, (tensor([[1.0, 1.0]]), tensor([[2.0, 0.0]])))
-    np.testing.assert_allclose(out.data[0], [0.9, 0.4], atol=1e-7)
-
-
-def test_combine_degenerate_gate():
-    d = _decision_with_gates(1.0, 0.0)
-    e1 = tensor([[3.0, -2.0]])
-    out = combine(d, (e1, tensor([[5.0, 5.0]])))
-    np.testing.assert_array_equal(out.data, e1.data)
-
-
-def test_combine_shape_mismatch():
-    d = _decision_with_gates(0.6, 0.4)
-    with pytest.raises(ParameterError):
-        combine(d, (tensor([[1.0, 2.0]]), tensor([[1.0]])))
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +348,8 @@ def test_non_selected_experts_get_zero_gradient():
     for i in (0, 1):
         assert layer.experts[i].w1.grad is not None
     for i in (2, 3):
-        for _, p in layer.experts[i].parameters():
+        e = layer.experts[i]
+        for p in (e.w1, e.b1, e.w2, e.b2):
             assert p.grad is None or not np.any(p.grad)
     assert layer.gate_w.grad is not None
     assert np.any(layer.gate_w.grad != 0)
@@ -399,7 +363,7 @@ def test_partial_selection_gradient_sparsity():
     sum_(y * y).backward()
     used = set(np.unique(d.top2_idx))
     for i, expert in enumerate(layer.experts):
-        grads = [p.grad for _, p in expert.parameters()]
+        grads = [p.grad for p in (expert.w1, expert.b1, expert.w2, expert.b2)]
         if i in used:
             assert any(g is not None and np.any(g) for g in grads)
         else:

@@ -9,10 +9,7 @@ from moeformer.synth import (
     frame_targets,
     generate_batch,
     sample_sequence,
-    task_from_flat,
-    task_to_flat,
 )
-from moeformer.config import parse_kv_text
 
 
 def test_zero_noise_repeats_token_vectors():
@@ -85,12 +82,6 @@ def test_frame_targets_alignment():
     targets = frame_targets(labels, 4)
     assert targets.shape[0] == 5
     np.testing.assert_array_equal(targets, labels[::4])  # spans are constant
-
-
-def test_task_flat_roundtrip():
-    spec = SyntheticTaskSpec(num_languages=5, tokens_per_language=9, noise_scale=0.4)
-    parsed = task_from_flat(parse_kv_text(task_to_flat(spec)))
-    assert parsed == spec
 
 
 def test_task_validation():
