@@ -8,13 +8,15 @@ into ordered stage records (widths, projections, frame rate, time stacking)
 that model construction, the forward pass and parameter/MAC accounting all
 consume.
 
-Configs round-trip through flat ``key=value`` text files; see
-``ENCODER_KEYS`` for the documented key list.
+Configs round-trip through flat ``key=value`` text files. ``ENCODER_KEYS``
+is the encoder's key table (type, default, description), which the reader,
+the writer and the README all follow; ``dataclass_from_flat`` reads any
+other section from its dataclass fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -195,33 +197,56 @@ def plan(config: EncoderConfig) -> list[Stage]:
 # --------------------------------------------------------------------------
 # flat key=value files
 
-ENCODER_KEYS = """\
-encoder.feature_dim          raw feature width
-encoder.frame_stack          frames concatenated by the frontend (current + previous)
-encoder.frame_downsample     keep every n-th stacked frame
-encoder.input_dim            input block projection width
-encoder.input_convs          number of causal conv layers in the input block
-encoder.input_kernel         input block conv kernel
-encoder.causal_dims          comma list of causal layer widths
-encoder.causal_heads         attention heads (causal stack)
-encoder.causal_kernel        depthwise conv kernel (causal stack)
-encoder.causal_left_context  attention left window, frames
-encoder.stack_after          causal layers run before the time-stacking step
-encoder.noncausal_dims       comma list of non-causal layer widths
-encoder.noncausal_heads      attention heads (non-causal stack)
-encoder.noncausal_kernel     depthwise conv kernel (non-causal stack)
-encoder.noncausal_left_context   attention left window, frames
-encoder.right_context_total  future frames split as evenly as possible per layer
-encoder.right_contexts       alternative: explicit comma list per layer
-encoder.ffn_mult             feed-forward expansion
-encoder.moe_placement        none | start | end | both
-encoder.moe_selector         all | odd | first_only
-encoder.num_experts          experts per routed layer
-encoder.expert_mult          expert feed-forward expansion
-encoder.moe_residual_scale   residual scale around the routed block
-encoder.adapter_dim          residual adapter bottleneck (0 disables)
-encoder.adapter_groups       adapter groups (one per language)
-"""
+REQUIRED = MISSING  # a key table default: the key must be given
+
+
+class Key(NamedTuple):  # one row of a key table
+    type: str        # "int", "float", "str", "bool" or "list[int]"
+    default: object  # REQUIRED, None (optional, no value) or the value
+    doc: str = ""
+
+
+# type -> (parse, write, what a value must look like); floats are written
+# with repr so that the text parses back to the same value
+_TYPES = {
+    "int": (int, str, "integer"),
+    "float": (float, lambda x: repr(float(x)), "number"),
+    "str": (str, str, "text"),
+    "bool": (lambda text: int(text) != 0, lambda b: str(int(b)), "integer"),
+    "list[int]": (lambda text: [int(p) for p in text.split(",") if p.strip()],
+                  lambda xs: ",".join(map(str, xs)), "comma list of ints"),
+}
+
+# The encoder schema, in the order ``encoder_to_flat`` writes it. The
+# per-layer keys of a stack apply uniformly to its layers.
+ENCODER_KEYS = {
+    "feature_dim": Key("int", REQUIRED, "raw feature width"),
+    "frame_stack": Key("int", 1, "frames concatenated by the frontend (current + previous)"),
+    "frame_downsample": Key("int", 1, "keep every n-th stacked frame"),
+    "input_dim": Key("int", REQUIRED, "input block projection width"),
+    "input_convs": Key("int", 3, "number of causal conv layers in the input block"),
+    "input_kernel": Key("int", 3, "input block conv kernel"),
+    "stack_after": Key("int", 0, "causal layers run before the time-stacking step"),
+    "ffn_mult": Key("int", 4, "feed-forward expansion"),
+    "causal_dims": Key("list[int]", REQUIRED, "comma list of causal layer widths"),
+    "causal_heads": Key("int", 4, "attention heads (causal stack)"),
+    "causal_kernel": Key("int", 7, "depthwise conv kernel (causal stack)"),
+    "causal_left_context": Key("int", 16, "attention left window, frames"),
+    "noncausal_dims": Key("list[int]", (), "comma list of non-causal layer widths"),
+    "noncausal_heads": Key("int", 4, "attention heads (non-causal stack)"),
+    "noncausal_kernel": Key("int", 7, "depthwise conv kernel (non-causal stack)"),
+    "noncausal_left_context": Key("int", 16, "attention left window, frames"),
+    "right_contexts": Key("list[int]", None, "comma list of future frames per non-causal layer"),
+    "right_context_total": Key("int", None, "else: future frames split as evenly as possible "
+                               "per layer (0 if unset)"),
+    "moe_placement": Key("str", "none", "one of " + ", ".join(MOE_PLACEMENTS)),
+    "moe_selector": Key("str", "all", "one of " + ", ".join(MOE_SELECTORS)),
+    "num_experts": Key("int", 0, "experts per routed layer"),
+    "expert_mult": Key("int", 4, "expert feed-forward expansion"),
+    "moe_residual_scale": Key("float", 1.0, "residual scale around the routed block"),
+    "adapter_dim": Key("int", 0, "residual adapter bottleneck (0 disables)"),
+    "adapter_groups": Key("int", 0, "adapter groups (one per language)"),
+}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -248,66 +273,42 @@ def parse_kv_text(text: str, source: str = "config text") -> dict[str, str]:
     return out
 
 
-class _KeyReader:
-    """Typed accessor over a flat dict that tracks which keys were consumed."""
-
-    def __init__(self, raw: dict[str, str], prefix: str):
-        self.raw = raw
-        self.prefix = prefix
-        self.seen: set[str] = set()
-
-    def _get(self, name: str):
-        key = self.prefix + name
-        self.seen.add(key)
-        return self.raw.get(key)
-
-    def has(self, name: str) -> bool:
-        return (self.prefix + name) in self.raw
-
-    def str_(self, name: str, default: str | None = None) -> str:
-        v = self._get(name)
-        if v is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {self.prefix + name}")
-            return default
-        return v
-
-    def int_(self, name: str, default: int | None = None) -> int:
-        v = self._get(name)
-        if v is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {self.prefix + name}")
-            return default
+def read_flat(raw: dict[str, str], prefix: str, keys: dict[str, Key]) -> dict:
+    """Read every key of the table ``keys`` under ``prefix``, parsed by its
+    type, with table defaults for absent keys. A missing required key, an
+    unparsable value or a ``prefix`` key the table does not name is a
+    ConfigError."""
+    values = {}
+    for name, key in keys.items():
+        text = raw.get(prefix + name)
+        if text is None:
+            if key.default is REQUIRED:
+                raise ConfigError(f"missing required config key {prefix + name}")
+            values[name] = key.default
+            continue
+        parse, _, what = _TYPES[key.type]
         try:
-            return int(v)
+            values[name] = parse(text)
         except ValueError as exc:
-            raise ConfigError(f"{self.prefix + name}: expected integer, got {v!r}") from exc
+            raise ConfigError(f"{prefix + name}: expected {what}, got {text!r}") from exc
+    unknown = sorted(k for k in raw if k.startswith(prefix) and k[len(prefix):] not in keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return values
 
-    def float_(self, name: str, default: float | None = None) -> float:
-        v = self._get(name)
-        if v is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {self.prefix + name}")
-            return default
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{self.prefix + name}: expected number, got {v!r}") from exc
 
-    def int_list(self, name: str, default: list[int] | None = None) -> list[int]:
-        v = self._get(name)
-        if v is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {self.prefix + name}")
-            return default
-        try:
-            return [int(p) for p in v.split(",") if p.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"{self.prefix + name}: expected comma list of ints") from exc
-
-    def unknown_keys(self) -> list[str]:
-        mine = {k for k in self.raw if k.startswith(self.prefix)}
-        return sorted(mine - self.seen)
+def dataclass_from_flat(cls, raw: dict[str, str], prefix: str,
+                        renames: dict[str, str] | None = None):
+    """Build and validate the dataclass ``cls`` from its ``prefix`` keys: one
+    key per field, with the field's default and (string) type annotation,
+    named after the field unless ``renames`` maps the field name to another."""
+    renames = renames or {}
+    names = {f.name: renames.get(f.name, f.name) for f in fields(cls)}
+    values = read_flat(raw, prefix, {names[f.name]: Key(f.type, f.default)
+                                     for f in fields(cls)})
+    obj = cls(**{field: values[key] for field, key in names.items()})
+    obj.validate()
+    return obj
 
 
 def split_right_context(total: int, layers: int) -> list[int]:
@@ -319,77 +320,40 @@ def split_right_context(total: int, layers: int) -> list[int]:
 
 
 def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderConfig:
-    r = _KeyReader(raw, prefix)
-    frontend = FrontendConfig(
-        feature_dim=r.int_("feature_dim"),
-        stack=r.int_("frame_stack", 1),
-        downsample=r.int_("frame_downsample", 1),
-    )
-    input_block = InputBlockConfig(
-        out_dim=r.int_("input_dim"),
-        num_convs=r.int_("input_convs", 3),
-        kernel=r.int_("input_kernel", 3),
-    )
-    ffn_mult = r.int_("ffn_mult", 4)
-
-    causal_dims = r.int_list("causal_dims")
-    causal = [
-        ConformerLayerConfig(
-            model_dim=d,
-            ffn_mult=ffn_mult,
-            heads=r.int_("causal_heads", 4),
-            conv_kernel=r.int_("causal_kernel", 7),
-            causal=True,
-            left_context=r.int_("causal_left_context", 16),
-            right_context=0,
-        )
-        for d in causal_dims
-    ]
-
-    nc_dims = r.int_list("noncausal_dims", [])
-    if r.has("right_contexts"):
-        rights = r.int_list("right_contexts")
-        if len(rights) != len(nc_dims):
-            raise ConfigError("right_contexts length must match noncausal_dims")
-    else:
-        rights = split_right_context(r.int_("right_context_total", 0), len(nc_dims))
-    placement = r.str_("moe_placement", "none")
-    num_experts = r.int_("num_experts", 0)
-    non_causal = [
-        ConformerLayerConfig(
-            model_dim=d,
-            ffn_mult=ffn_mult,
-            heads=r.int_("noncausal_heads", 4),
-            conv_kernel=r.int_("noncausal_kernel", 7),
-            causal=False,
-            left_context=r.int_("noncausal_left_context", 16),
-            right_context=rc,
-            moe_placement=placement,
-            num_experts=num_experts if placement != "none" else 0,
-            expert_mult=r.int_("expert_mult", 4),
-            moe_residual_scale=r.float_("moe_residual_scale", 1.0),
-        )
-        for d, rc in zip(nc_dims, rights)
-    ]
-
-    adapter_dim = r.int_("adapter_dim", 0)
+    v = read_flat(raw, prefix, ENCODER_KEYS)
+    nc_dims = v["noncausal_dims"]
+    rights = v["right_contexts"]
+    if rights is None:
+        rights = split_right_context(v["right_context_total"] or 0, len(nc_dims))
+    elif v["right_context_total"] is not None:
+        raise ConfigError(
+            f"give one of {prefix}right_contexts and {prefix}right_context_total, not both")
+    elif len(rights) != len(nc_dims):
+        raise ConfigError("right_contexts length must match noncausal_dims")
     adapters = None
-    if adapter_dim > 0:
-        adapters = AdapterConfig(dim=adapter_dim, num_groups=r.int_("adapter_groups"))
-    stack_after = r.int_("stack_after", 0)
-    moe_selector = r.str_("moe_selector", "all")
+    if v["adapter_dim"] > 0:
+        adapters = AdapterConfig(dim=v["adapter_dim"], num_groups=v["adapter_groups"])
+    elif v["adapter_groups"] != 0:
+        raise ConfigError(f"{prefix}adapter_groups needs {prefix}adapter_dim >= 1")
 
-    unknown = r.unknown_keys()
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    def layer(stack, d, **kw):
+        return ConformerLayerConfig(
+            model_dim=d, ffn_mult=v["ffn_mult"], heads=v[f"{stack}_heads"],
+            conv_kernel=v[f"{stack}_kernel"], left_context=v[f"{stack}_left_context"], **kw)
 
+    placement = v["moe_placement"]
     cfg = EncoderConfig(
-        frontend=frontend,
-        input_block=input_block,
-        causal=causal,
-        non_causal=non_causal,
-        stack_after=stack_after,
-        moe_selector=moe_selector,
+        frontend=FrontendConfig(v["feature_dim"], v["frame_stack"], v["frame_downsample"]),
+        input_block=InputBlockConfig(v["input_dim"], v["input_convs"], v["input_kernel"]),
+        causal=[layer("causal", d, causal=True) for d in v["causal_dims"]],
+        non_causal=[
+            layer("noncausal", d, right_context=rc, moe_placement=placement,
+                  num_experts=v["num_experts"] if placement != "none" else 0,
+                  expert_mult=v["expert_mult"], moe_residual_scale=v["moe_residual_scale"])
+            for d, rc in zip(nc_dims, rights)
+        ],
+        stack_after=v["stack_after"],
+        moe_selector=v["moe_selector"],
         adapters=adapters,
     )
     cfg.validate()
@@ -397,48 +361,32 @@ def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderC
 
 
 def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
-    """Serialize an EncoderConfig to the flat key=value text form.
+    """Serialize an EncoderConfig to flat key=value text: one line per
+    ``ENCODER_KEYS`` entry that has a value, in table order.
 
     Only geometries expressible in the flat schema round-trip: uniform
     per-stack heads/kernels/contexts and uniform expert placement, which is
-    everything this package constructs.
+    everything this package constructs. The per-layer keys of an empty stack
+    are written with their table defaults.
     """
-    lines = [
-        f"{prefix}feature_dim={cfg.frontend.feature_dim}",
-        f"{prefix}frame_stack={cfg.frontend.stack}",
-        f"{prefix}frame_downsample={cfg.frontend.downsample}",
-        f"{prefix}input_dim={cfg.input_block.out_dim}",
-        f"{prefix}input_convs={cfg.input_block.num_convs}",
-        f"{prefix}input_kernel={cfg.input_block.kernel}",
-        f"{prefix}stack_after={cfg.stack_after}",
-    ]
-    ffn_mult = (cfg.causal + cfg.non_causal)[0].ffn_mult
-    lines.append(f"{prefix}ffn_mult={ffn_mult}")
-    if cfg.causal:
-        c0 = cfg.causal[0]
-        lines += [
-            f"{prefix}causal_dims={','.join(str(l.model_dim) for l in cfg.causal)}",
-            f"{prefix}causal_heads={c0.heads}",
-            f"{prefix}causal_kernel={c0.conv_kernel}",
-            f"{prefix}causal_left_context={c0.left_context}",
-        ]
+    v = {name: key.default for name, key in ENCODER_KEYS.items()}
+    v.update(feature_dim=cfg.frontend.feature_dim, frame_stack=cfg.frontend.stack,
+             frame_downsample=cfg.frontend.downsample, input_dim=cfg.input_block.out_dim,
+             input_convs=cfg.input_block.num_convs, input_kernel=cfg.input_block.kernel,
+             stack_after=cfg.stack_after, ffn_mult=(cfg.causal + cfg.non_causal)[0].ffn_mult,
+             right_contexts=[l.right_context for l in cfg.non_causal],
+             moe_selector=cfg.moe_selector,
+             adapter_dim=cfg.adapters.dim if cfg.adapters else 0,
+             adapter_groups=cfg.adapters.num_groups if cfg.adapters else 0)
+    for stack, layers in (("causal", cfg.causal), ("noncausal", cfg.non_causal)):
+        v[f"{stack}_dims"] = [l.model_dim for l in layers]
+        if layers:
+            v.update({f"{stack}_heads": layers[0].heads, f"{stack}_kernel": layers[0].conv_kernel,
+                      f"{stack}_left_context": layers[0].left_context})
     if cfg.non_causal:
         n0 = cfg.non_causal[0]
-        lines += [
-            f"{prefix}noncausal_dims={','.join(str(l.model_dim) for l in cfg.non_causal)}",
-            f"{prefix}noncausal_heads={n0.heads}",
-            f"{prefix}noncausal_kernel={n0.conv_kernel}",
-            f"{prefix}noncausal_left_context={n0.left_context}",
-            f"{prefix}right_contexts={','.join(str(l.right_context) for l in cfg.non_causal)}",
-            f"{prefix}moe_placement={n0.moe_placement}",
-            f"{prefix}moe_selector={cfg.moe_selector}",
-            f"{prefix}num_experts={n0.num_experts}",
-            f"{prefix}expert_mult={n0.expert_mult}",
-            f"{prefix}moe_residual_scale={n0.moe_residual_scale:g}",
-        ]
-    if cfg.adapters is not None:
-        lines += [
-            f"{prefix}adapter_dim={cfg.adapters.dim}",
-            f"{prefix}adapter_groups={cfg.adapters.num_groups}",
-        ]
+        v.update(moe_placement=n0.moe_placement, num_experts=n0.num_experts,
+                 expert_mult=n0.expert_mult, moe_residual_scale=n0.moe_residual_scale)
+    lines = [f"{prefix}{name}={_TYPES[ENCODER_KEYS[name].type][1](value)}"
+             for name, value in v.items() if value is not None]
     return "\n".join(lines) + "\n"

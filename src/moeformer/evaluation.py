@@ -1,6 +1,6 @@
-"""Evaluation: frame accuracy, per-layer routing analytics (expert loads per
-language, routing-language mutual information, over-capacity history), and
-the adapter-versus-experts parity experiment."""
+"""Evaluation: frame accuracy, per-layer routing analytics (expert loads,
+routing-language mutual information, over-capacity history), and the
+adapter-versus-experts parity experiment."""
 
 from __future__ import annotations
 
@@ -37,18 +37,12 @@ class LayerRouting:
     counts: np.ndarray              # (experts,) top-2 selections
     joint_top1: np.ndarray          # (languages, experts) top-1 counts
     joint_weighted: np.ndarray      # (languages, experts) gate-weighted mass
-    gate_mass: np.ndarray           # (experts,) summed gate probability
     overcap_batches: list[np.ndarray] = field(default_factory=list)
     num_frames: int = 0
 
     @property
     def load_fractions(self) -> np.ndarray:
         return 2.0 * self.counts / max(self.counts.sum(), 1)
-
-    @property
-    def per_language_load(self) -> np.ndarray:
-        row_total = self.joint_top1.sum(axis=1, keepdims=True)
-        return self.joint_top1 / np.maximum(row_total, 1)
 
     @property
     def mi_top1(self) -> float:
@@ -143,8 +137,8 @@ def evaluate(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 16
         pred = logits.data.argmax(axis=-1)
         correct += int((pred == targets).sum())
         total += targets.size
-        for b in range(batch_size):
-            language_counts[langs[b]] += targets.shape[1]
+        frames_per_seq = targets.shape[1]
+        language_counts += frames_per_seq * np.bincount(langs, minlength=num_langs)
 
         if layer_stats is None:
             layer_stats = [
@@ -152,19 +146,16 @@ def evaluate(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 16
                     counts=np.zeros(d.num_experts, dtype=np.int64),
                     joint_top1=np.zeros((num_langs, d.num_experts)),
                     joint_weighted=np.zeros((num_langs, d.num_experts)),
-                    gate_mass=np.zeros(d.num_experts),
                 )
                 for d in decisions
             ]
-        frames_per_seq = targets.shape[1]
+        frame_langs = np.repeat(langs, frames_per_seq)
         for stats, decision in zip(layer_stats, decisions):
             stats.counts += decision.counts
             stats.num_frames += decision.num_frames
-            stats.gate_mass += decision.gates.data.sum(axis=0)
             stats.overcap_batches.append(
                 over_capacity_ratio(decision, capacity_factor).ratios
             )
-            frame_langs = np.repeat(langs, frames_per_seq)
             top1 = decision.top2_idx[:, 0]
             np.add.at(stats.joint_top1, (frame_langs, top1), 1)
             gates = decision.top2_gates.data

@@ -77,7 +77,7 @@ class MoELayer:
             raise ConfigError("top-2 routing needs at least 2 experts")
         self.gate_w = gate_w
         self.experts = experts
-        # frames pushed through expert FFNs since the last reset; the
+        # rows the expert FFNs actually ran on since the last reset; the
         # activated-parameter contract keeps this at exactly 2 per frame
         self.evaluations = 0
 
@@ -91,6 +91,10 @@ class MoELayer:
 
     def reset_evaluations(self) -> None:
         self.evaluations = 0
+
+    def _run_expert(self, i: int, rows: Tensor) -> Tensor:
+        self.evaluations += rows.shape[0]
+        return self.experts[i].forward(rows)
 
     def gate(self, x: Tensor) -> Tensor:
         """Per-frame probability over experts: softmax of the gate projection."""
@@ -114,9 +118,8 @@ class MoELayer:
         frames = decision.num_frames
         if frames == 0:
             return T.Tensor(np.zeros_like(x.data)), decision
-        self.evaluations += int(decision.counts.sum())
         out = _grouped_dispatch(x, decision.top2_idx.reshape(-1), decision.counts,
-                                lambda i, rows: self.experts[i].forward(rows), slots=2)
+                                self._run_expert, slots=2)
         out = T.reshape(out, (frames, 2, -1))
         weight = T.reshape(decision.top2_gates, (frames, 2, 1))
         return T.sum_(out * weight, axis=1), decision

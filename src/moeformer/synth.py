@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _KeyReader
+from .config import dataclass_from_flat
 from .errors import ConfigError
 
 
@@ -146,21 +146,9 @@ def frame_targets(labels: np.ndarray, total_downsample: int) -> np.ndarray:
 
 
 def task_from_flat(raw: dict[str, str], prefix: str = "task.") -> SyntheticTaskSpec:
-    r = _KeyReader(raw, prefix)
-    spec = SyntheticTaskSpec(
-        num_languages=r.int_("languages", 4),
-        feature_dim=r.int_("feature_dim", 16),
-        tokens_per_language=r.int_("tokens_per_language", 8),
-        shared_tokens=r.int_("shared_tokens", 2),
-        min_tokens=r.int_("min_tokens", 10),
-        max_tokens=r.int_("max_tokens", 14),
-        frames_per_token=r.int_("frames_per_token", 4),
-        noise_scale=r.float_("noise", 0.25),
-        language_offset_scale=r.float_("language_offset", 1.5),
-        seed=r.int_("seed", 0),
-    )
-    unknown = r.unknown_keys()
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    spec.validate()
-    return spec
+    """The ``task.`` keys are SyntheticTaskSpec's fields, except ``languages``,
+    ``noise`` and ``language_offset`` (num_languages, noise_scale and
+    language_offset_scale)."""
+    return dataclass_from_flat(SyntheticTaskSpec, raw, prefix, {
+        "num_languages": "languages", "noise_scale": "noise",
+        "language_offset_scale": "language_offset"})

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import EncoderConfig, _KeyReader, encoder_to_flat
+from .config import EncoderConfig, dataclass_from_flat, encoder_to_flat
 from .encoder import EncoderModel, build_encoder, spec_augment
 from .errors import ConfigError, ParameterError, TrainingDiverged
 from .moe import aux_load_balance_loss, over_capacity_ratio
@@ -37,8 +37,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be >= 1")
-        if self.aux_weight < 0:
-            raise ConfigError("aux_weight must be >= 0")
+        if not (self.aux_weight >= 0 and self.clip_norm >= 0 and self.warmup_steps >= 0):
+            raise ConfigError("aux_weight, clip_norm and warmup must be >= 0")
+        if not (self.lr > 0 and self.eps > 0 and self.capacity_factor > 0):
+            raise ConfigError("lr, eps and capacity_factor must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.seed < 0:
             raise ConfigError("train seed must be >= 0")
         if self.dtype not in ("float32", "float64"):
@@ -50,27 +54,8 @@ class TrainConfig:
 
 
 def train_from_flat(raw: dict[str, str], prefix: str = "train.") -> TrainConfig:
-    r = _KeyReader(raw, prefix)
-    cfg = TrainConfig(
-        steps=r.int_("steps", 500),
-        batch_size=r.int_("batch_size", 8),
-        lr=r.float_("lr", 3e-3),
-        warmup_steps=r.int_("warmup", 100),
-        aux_weight=r.float_("aux_weight", 0.01),
-        capacity_factor=r.float_("capacity_factor", 1.0),
-        specaug=r.int_("specaug", 0) != 0,
-        beta1=r.float_("beta1", 0.9),
-        beta2=r.float_("beta2", 0.999),
-        eps=r.float_("eps", 1e-8),
-        clip_norm=r.float_("clip_norm", 1.0),
-        seed=r.int_("seed", 0),
-        dtype=r.str_("dtype", "float32"),
-    )
-    unknown = r.unknown_keys()
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg.validate()
-    return cfg
+    """The ``train.`` keys are TrainConfig's fields; ``warmup`` sets warmup_steps."""
+    return dataclass_from_flat(TrainConfig, raw, prefix, {"warmup_steps": "warmup"})
 
 
 # --------------------------------------------------------------------------

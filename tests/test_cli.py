@@ -213,3 +213,36 @@ def test_negative_config_seed_is_single_line_error(tmp_path, capsys, key, value)
     code = main(["train", "--config", str(bad)])
     assert code == 1
     _single_line_error(capsys, "seed")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.clip_norm", "-1"), ("train.warmup", "-5"), ("train.beta1", "1.5"),
+    ("train.beta2", "1"), ("train.capacity_factor", "0"), ("train.lr", "0"),
+    ("train.eps", "0"),
+])
+def test_out_of_range_training_value_is_refused_before_training(tmp_path, capsys,
+                                                                monkeypatch, key, value):
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    bad = tmp_path / "train.cfg"
+    bad.write_text(QUICK.read_text() + f"{key}={value}\n")
+    code = main(["train", "--config", str(bad)])
+    assert code == 1 and calls == []
+    _single_line_error(capsys, key.split(".")[1])
+
+
+def test_encoder_without_causal_stack_trains_and_evaluates_from_its_echo(tmp_path, capsys):
+    # an empty causal stack once dropped causal_dims from the checkpoint's echo
+    keep = [line for line in QUICK.read_text().splitlines()
+            if not line.startswith("encoder.causal_")]
+    config = tmp_path / "no_causal.cfg"
+    config.write_text("\n".join(keep).replace("train.steps=120", "train.steps=2")
+                      + "\nencoder.causal_dims=\n")
+    task_only = tmp_path / "task.cfg"
+    task_only.write_text("\n".join(l for l in keep if not l.startswith("encoder.")) + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out), "--batches", "1"]) == 0
+    code = main(["eval", "--config", str(task_only), "--checkpoint",
+                 str(out / "checkpoint.bin"), "--batches", "1", "--batch-size", "2"])
+    assert code == 0, capsys.readouterr().err
+    assert "accuracy=" in capsys.readouterr().out

@@ -1,16 +1,31 @@
 """Flat config file parsing and serialization."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from moeformer import ConfigError
 from moeformer.config import (
+    ENCODER_KEYS,
+    REQUIRED,
+    AdapterConfig,
     encoder_from_flat,
     encoder_to_flat,
+    parse_kv_file,
     parse_kv_text,
     split_right_context,
 )
 from moeformer.presets import desk_encoder, reference_family
-from moeformer.config import AdapterConfig
+from moeformer.synth import SyntheticTaskSpec, task_from_flat
+from moeformer.training import TrainConfig, train_from_flat
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _with_residual_scale(cfg, scale):
+    cfg.non_causal = [replace(l, moe_residual_scale=scale) for l in cfg.non_causal]
+    return cfg
 
 
 def test_split_right_context_even_as_possible():
@@ -25,11 +40,75 @@ def test_split_right_context_even_as_possible():
     desk_encoder(moe_placement="none", num_experts=0),
     desk_encoder(moe_selector="odd"),
     desk_encoder(adapters=AdapterConfig(dim=32, num_groups=4)),
+    desk_encoder(causal_layers=0),
+    desk_encoder(non_causal_layers=0),
+    _with_residual_scale(desk_encoder(), 0.1234567),
     *reference_family().values(),
 ])
 def test_encoder_flat_roundtrip(cfg):
     text = encoder_to_flat(cfg)
     assert encoder_from_flat(parse_kv_text(text)) == cfg
+
+
+def test_echo_writes_every_key_in_table_order():
+    # right_context_total is the alternative spelling of right_contexts
+    names = [line.split("=", 1)[0] for line in encoder_to_flat(desk_encoder()).splitlines()]
+    assert names == ["encoder." + k for k in ENCODER_KEYS if k != "right_context_total"]
+
+
+def _shown(default):
+    if default is REQUIRED:
+        return "required"
+    if default is None:
+        return "unset"
+    return f"`{default}`" if default != () else "empty"
+
+
+def test_readme_documents_every_encoder_key():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    for name, key in ENCODER_KEYS.items():
+        row = f"| `encoder.{name}` | {key.type} | {_shown(key.default)} | {key.doc} |"
+        assert row in readme, row
+
+
+@pytest.mark.parametrize("name", sorted(reference_family()))
+def test_reference_config_matches_preset(name):
+    cfg = parse_kv_file(REPO / "configs" / "reference" / f"{name}.cfg")
+    assert encoder_from_flat(cfg) == reference_family()[name]
+
+
+def test_train_and_task_defaults_live_in_their_dataclasses():
+    assert train_from_flat({}) == TrainConfig()
+    assert task_from_flat({}) == SyntheticTaskSpec()
+    raw = {"train.warmup": "7", "task.languages": "3", "task.noise": "0.5",
+           "task.language_offset": "2.5"}
+    assert train_from_flat(raw).warmup_steps == 7
+    task = task_from_flat(raw)
+    assert (task.num_languages, task.noise_scale, task.language_offset_scale) == (3, 0.5, 2.5)
+    with pytest.raises(ConfigError, match="train.warmup_steps"):
+        train_from_flat({"train.warmup_steps": "7"})
+    with pytest.raises(ConfigError, match="train.lr: expected number"):
+        train_from_flat({"train.lr": "fast"})
+
+
+def test_keys_of_an_empty_stack_are_accepted():
+    text = encoder_to_flat(desk_encoder()).replace(
+        "encoder.causal_dims=64,64,64", "encoder.causal_dims=")
+    assert "encoder.causal_heads=4" in text
+    assert encoder_from_flat(parse_kv_text(text)) == desk_encoder(causal_layers=0)
+
+
+def test_both_right_context_forms_rejected():
+    text = encoder_to_flat(desk_encoder()) + "encoder.right_context_total=6\n"
+    with pytest.raises(ConfigError, match="not both"):
+        encoder_from_flat(parse_kv_text(text))
+
+
+def test_adapter_groups_need_adapter_dim():
+    text = encoder_to_flat(desk_encoder()).replace(
+        "encoder.adapter_groups=0", "encoder.adapter_groups=4")
+    with pytest.raises(ConfigError, match="adapter_groups"):
+        encoder_from_flat(parse_kv_text(text))
 
 
 def test_comments_and_blank_lines_ignored():

@@ -4,7 +4,7 @@ capacity statistics, and the sparse/dense equivalence oracle."""
 import numpy as np
 import pytest
 
-from moeformer import ConfigError, ParameterError
+from moeformer import ConfigError, ParameterError, moe
 from moeformer.moe import (
     CapacityStats,
     ExpertFFN,
@@ -15,7 +15,7 @@ from moeformer.moe import (
     route_top2,
     routing_records,
 )
-from moeformer.tensor import Tensor, mean, sum_, tensor
+from moeformer.tensor import Tensor, concat, mean, slice_axis, sum_, tensor
 
 import oracles
 
@@ -307,6 +307,27 @@ def test_execution_counter_two_per_frame():
         frames = 17
         layer.forward(Tensor(rng.standard_normal((frames, 4))))
         assert layer.evaluations == 2 * frames
+
+
+def test_execution_counter_sees_the_rows_experts_run_on(monkeypatch):
+    # a dispatch that hands every expert one row more than it was routed
+    dispatch = moe._grouped_dispatch
+
+    def padded_dispatch(x, owner, counts, run, slots=1):
+        def run_padded(i, rows):
+            out = run(i, concat([rows, slice_axis(rows, 0, 0, 1)], axis=0))
+            return slice_axis(out, 0, 0, rows.shape[0])
+        return dispatch(x, owner, counts, run_padded, slots)
+
+    rng = np.random.default_rng(14)
+    layer = make_layer(rng, 4, 4)
+    x = Tensor(rng.standard_normal((17, 4)))
+    _, decision = layer.forward(x)
+    assert layer.evaluations == 2 * 17
+    layer.reset_evaluations()
+    monkeypatch.setattr(moe, "_grouped_dispatch", padded_dispatch)
+    layer.forward(x)
+    assert layer.evaluations == 2 * 17 + np.count_nonzero(decision.counts)
 
 
 def test_combined_output_invariant_under_gate_logit_shift():
