@@ -13,12 +13,13 @@ from pathlib import Path
 
 from .accounting import count_params, fitted_remainder, report_kv, report_lines
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
-from .config import encoder_from_flat, parse_kv_file, parse_kv_text
+from .config import encoder_from_flat, encoder_to_flat, parse_kv_file, parse_kv_text
 from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverged
 from .evaluation import compare_adapter_vs_moe, evaluate, routing_stream
 from .synth import task_from_flat
 from .training import (
     build_model,
+    check_task_fit,
     checkpoint_config_text,
     metrics_line,
     train,
@@ -67,25 +68,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(args, raw):
+def _restore_model(args):
+    """The ``--config`` task and the checkpoint's model for it. The encoder is
+    the config echo, which encoder keys in ``--config`` must match; only a
+    checkpoint without an echo (written through the Python API) takes them
+    instead."""
+    raw = parse_kv_file(args.config)
+    task = task_from_flat(raw)
     tensors, config_text, step = load_checkpoint(args.checkpoint)
-    if any(k.startswith("encoder.") for k in raw):
-        encoder_cfg = encoder_from_flat(raw)
-    else:
-        encoder_cfg = encoder_from_flat(
-            parse_kv_text(config_text, source=f"{args.checkpoint} config echo"))
+    echo = parse_kv_text(config_text, source=f"{args.checkpoint} config echo")
+    encoder_cfg = encoder_from_flat(echo or raw)
+    if echo and any(k.startswith("encoder.") for k in raw):
+        # both sides in the echo's canonical spelling, key for key
+        given = encoder_to_flat(encoder_from_flat(raw)).splitlines()
+        for ours, theirs in zip(given, encoder_to_flat(encoder_cfg).splitlines()):
+            if ours != theirs:
+                raise ConfigError(f"encoder mismatch: {args.config} has {ours}, "
+                                  f"the checkpoint's echo {theirs}")
     if "head.w" not in tensors:
         raise CheckpointError(f"{args.checkpoint}: no classification head found")
     num_labels = tensors["head.w"].shape[1]
+    check_task_fit(encoder_cfg, task)
+    if num_labels != task.num_labels:
+        raise ConfigError(f"{args.checkpoint}: the classification head has {num_labels} "
+                          f"labels, the task {task.num_labels}")
     model = build_model(encoder_cfg, num_labels, seed=0)
     load_into(model.parameters(), args.checkpoint)
-    return model, step
+    return model, task, step
 
 
 def cmd_eval(args) -> int:
-    raw = parse_kv_file(args.config)
-    task = task_from_flat(raw)
-    model, step = _restore_model(args, raw)
+    model, task, step = _restore_model(args)
     result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
                       seed=1234 if args.seed is None else args.seed)
     lines = [f"checkpoint_step={step}", f"accuracy={result.accuracy:.4f}"]
@@ -109,9 +122,7 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_route_stats(args) -> int:
-    raw = parse_kv_file(args.config)
-    task = task_from_flat(raw)
-    model, _ = _restore_model(args, raw)
+    model, task, _ = _restore_model(args)
     lines = routing_stream(model, task, num_batches=args.batches, batch_size=args.batch_size,
                            seed=1234 if args.seed is None else args.seed)
     _emit(lines, _out_dir(args), "route_stats.txt")

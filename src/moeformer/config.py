@@ -46,8 +46,8 @@ class ConformerLayerConfig:
             raise ConfigError(
                 f"model_dim {self.model_dim} must be a positive multiple of heads {self.heads}"
             )
-        if self.conv_kernel < 1 or self.ffn_mult < 1:
-            raise ConfigError("conv_kernel and ffn_mult must be >= 1")
+        if self.conv_kernel < 1 or self.ffn_mult < 1 or self.expert_mult < 1:
+            raise ConfigError("conv_kernel, ffn_mult and expert_mult must be >= 1")
         if self.left_context < 0 or self.right_context < 0:
             raise ConfigError("context windows must be >= 0")
         if self.causal and self.right_context != 0:
@@ -331,6 +331,8 @@ def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderC
     elif len(rights) != len(nc_dims):
         raise ConfigError("right_contexts length must match noncausal_dims")
     adapters = None
+    if v["adapter_dim"] < 0:
+        raise ConfigError(f"{prefix}adapter_dim must be >= 0 (0 disables adapters)")
     if v["adapter_dim"] > 0:
         adapters = AdapterConfig(dim=v["adapter_dim"], num_groups=v["adapter_groups"])
     elif v["adapter_groups"] != 0:

@@ -4,17 +4,22 @@ adapter-versus-experts parity experiment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accounting import count_params
 from .config import EncoderConfig
 from .errors import ConfigError
-from .moe import over_capacity_ratio, routing_records
+from .moe import RoutingDecision, over_capacity_ratio, routing_records
 from .synth import SyntheticTaskSpec, frame_targets, generate_batch
 from .tensor import no_grad
 from .training import TrainConfig, TrainedModel, train
+
+# over-capacity ratio bins of the report's histogram
+OVERCAP_BINS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.35, 1.0)
+# largest relative gap between the paired models' inference budgets
+BUDGET_TOLERANCE = 0.02
 
 
 def mutual_information_bits(joint_counts: np.ndarray) -> float:
@@ -30,19 +35,29 @@ def mutual_information_bits(joint_counts: np.ndarray) -> float:
     return float(np.sum(np.where(mask, p * np.log2(ratio), 0.0)))
 
 
-@dataclass
 class LayerRouting:
-    """Aggregated routing behavior of one expert layer over an evaluation."""
+    """Routing behavior of one expert layer, accumulated over an evaluation."""
 
-    counts: np.ndarray              # (experts,) top-2 selections
-    joint_top1: np.ndarray          # (languages, experts) top-1 counts
-    joint_weighted: np.ndarray      # (languages, experts) gate-weighted mass
-    overcap_batches: list[np.ndarray] = field(default_factory=list)
-    num_frames: int = 0
+    def __init__(self, num_languages: int, num_experts: int):
+        self.counts = np.zeros(num_experts, dtype=np.int64)           # top-2 selections
+        self.joint_top1 = np.zeros((num_languages, num_experts))      # top-1 counts
+        self.joint_weighted = np.zeros((num_languages, num_experts))  # gate-weighted mass
+        self.overcap_batches: list[np.ndarray] = []  # over_capacity_ratio of each batch
+        self.num_frames = 0
+
+    def add(self, decision: RoutingDecision, frame_langs: np.ndarray) -> None:
+        """Fold in one batch's decision; ``frame_langs`` is each frame's language."""
+        self.counts += decision.counts
+        self.num_frames += decision.num_frames
+        self.overcap_batches.append(over_capacity_ratio(decision))
+        idx, gates = decision.top2_idx, decision.top2_gates.data
+        np.add.at(self.joint_top1, (frame_langs, idx[:, 0]), 1)
+        np.add.at(self.joint_weighted, (frame_langs, idx[:, 0]), gates[:, 0])
+        np.add.at(self.joint_weighted, (frame_langs, idx[:, 1]), gates[:, 1])
 
     @property
     def load_fractions(self) -> np.ndarray:
-        return 2.0 * self.counts / max(self.counts.sum(), 1)
+        return self.counts / max(self.num_frames, 1)
 
     @property
     def mi_top1(self) -> float:
@@ -54,9 +69,7 @@ class LayerRouting:
 
     @property
     def overcap_max(self) -> float:
-        if not self.overcap_batches:
-            return 0.0
-        return float(np.max([r.max() for r in self.overcap_batches]))
+        return max((float(r.max()) for r in self.overcap_batches), default=0.0)
 
 
 @dataclass
@@ -71,18 +84,13 @@ class RoutingReport:
         return max((l.mi_top1 for l in self.layers), default=0.0)
 
     @property
-    def mi_weighted(self) -> float:
-        return max((l.mi_weighted for l in self.layers), default=0.0)
-
-    @property
     def overcap_max(self) -> float:
         return max((l.overcap_max for l in self.layers), default=0.0)
 
-    def overcap_histogram(self, bins=(0.0, 0.01, 0.05, 0.1, 0.2, 0.35, 1.0)):
+    def overcap_histogram(self):
         """Histogram of per-batch per-expert over-capacity ratios, all layers."""
         ratios = [r for l in self.layers for batch in l.overcap_batches for r in batch]
-        counts, edges = np.histogram(ratios, bins=bins)
-        return counts, edges
+        return np.histogram(ratios, bins=OVERCAP_BINS)
 
     def lines(self) -> list[str]:
         out = [
@@ -110,62 +118,49 @@ class EvalResult:
     routing: RoutingReport
 
 
+def _forward_batches(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int,
+                     batch_size: int, seed: int, permutation: np.ndarray | None = None):
+    """Yield ``(labels, langs, logits, decisions)`` for each evaluation batch,
+    its forward run without a tape. The model is handed the language ids as
+    ``permutation[langs]``; with no ``permutation``, only if it has adapters."""
+    if permutation is None and model.encoder.config.adapters is not None:
+        permutation = np.arange(task.num_languages)
+    rng = np.random.default_rng([seed, 4])
+    for _ in range(num_batches):
+        feats, labels, langs = generate_batch(task, rng, batch_size)
+        ids = None if permutation is None else permutation[langs]
+        with no_grad():
+            logits, decisions = model.logits(feats, language_ids=ids)
+        yield labels, langs, logits, decisions
+
+
 def evaluate(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 16,
-             batch_size: int = 16, seed: int = 1234,
-             capacity_factor: float = 1.0) -> EvalResult:
+             batch_size: int = 16, seed: int = 1234) -> EvalResult:
     """Frame accuracy plus routing analytics over freshly sampled batches.
 
     The forward records no autodiff graph (``no_grad``).
     """
-    rng = np.random.default_rng([seed, 4])
-    uses_adapters = model.encoder.config.adapters is not None
-    num_langs = task.num_languages
     model.encoder.reset_moe_evaluations()
-
-    layer_stats: list[LayerRouting] | None = None
-    language_counts = np.zeros(num_langs, dtype=np.int64)
+    layers: list[LayerRouting] | None = None
+    language_counts = np.zeros(task.num_languages, dtype=np.int64)
     correct = 0
     total = 0
     downsample = model.encoder.config.total_downsample
-
-    for _ in range(num_batches):
-        feats, labels, langs = generate_batch(task, rng, batch_size)
+    for labels, langs, logits, decisions in _forward_batches(model, task, num_batches,
+                                                             batch_size, seed):
         targets = frame_targets(labels, downsample)
-        with no_grad():
-            logits, decisions = model.logits(
-                feats, language_ids=langs if uses_adapters else None)
-        pred = logits.data.argmax(axis=-1)
-        correct += int((pred == targets).sum())
+        correct += int((logits.data.argmax(axis=-1) == targets).sum())
         total += targets.size
         frames_per_seq = targets.shape[1]
-        language_counts += frames_per_seq * np.bincount(langs, minlength=num_langs)
-
-        if layer_stats is None:
-            layer_stats = [
-                LayerRouting(
-                    counts=np.zeros(d.num_experts, dtype=np.int64),
-                    joint_top1=np.zeros((num_langs, d.num_experts)),
-                    joint_weighted=np.zeros((num_langs, d.num_experts)),
-                )
-                for d in decisions
-            ]
+        language_counts += frames_per_seq * np.bincount(langs, minlength=task.num_languages)
+        if layers is None:
+            layers = [LayerRouting(task.num_languages, d.num_experts) for d in decisions]
         frame_langs = np.repeat(langs, frames_per_seq)
-        for stats, decision in zip(layer_stats, decisions):
-            stats.counts += decision.counts
-            stats.num_frames += decision.num_frames
-            stats.overcap_batches.append(
-                over_capacity_ratio(decision, capacity_factor).ratios
-            )
-            top1 = decision.top2_idx[:, 0]
-            np.add.at(stats.joint_top1, (frame_langs, top1), 1)
-            gates = decision.top2_gates.data
-            np.add.at(stats.joint_weighted, (frame_langs, decision.top2_idx[:, 0]),
-                      gates[:, 0])
-            np.add.at(stats.joint_weighted, (frame_langs, decision.top2_idx[:, 1]),
-                      gates[:, 1])
+        for layer, decision in zip(layers, decisions):
+            layer.add(decision, frame_langs)
 
     report = RoutingReport(
-        layers=layer_stats or [],
+        layers=layers or [],
         activated_evaluations=sum(m.evaluations for m in model.encoder.moe_layers()),
         num_frames=total,
         language_counts=language_counts,
@@ -174,21 +169,14 @@ def evaluate(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 16
 
 
 def routing_stream(model: TrainedModel, task: SyntheticTaskSpec, num_batches: int = 4,
-                   batch_size: int = 16, seed: int = 1234,
-                   capacity_factor: float = 1.0) -> list[str]:
+                   batch_size: int = 16, seed: int = 1234) -> list[str]:
     """Line-delimited per-batch routing records for every expert layer; the
     forward records no autodiff graph."""
-    rng = np.random.default_rng([seed, 4])
-    uses_adapters = model.encoder.config.adapters is not None
-    lines: list[str] = []
-    for batch in range(num_batches):
-        feats, labels, langs = generate_batch(task, rng, batch_size)
-        with no_grad():
-            _, decisions = model.logits(feats, language_ids=langs if uses_adapters else None)
-        for li, decision in enumerate(decisions):
-            for line in routing_records(li, decision, capacity_factor):
-                lines.append(f"batch={batch} {line}")
-    return lines
+    batches = _forward_batches(model, task, num_batches, batch_size, seed)
+    return [f"batch={batch} {line}"
+            for batch, (_, _, _, decisions) in enumerate(batches)
+            for li, decision in enumerate(decisions)
+            for line in routing_records(li, decision)]
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +189,11 @@ def _ignores_language_ids(model: TrainedModel, task: SyntheticTaskSpec,
     """True when handing the model permuted language ids changes neither its
     routing decisions nor its logits, bit for bit, on any of the batches
     ``evaluate`` samples by default."""
-    rng = np.random.default_rng([1234, 4])
-    for _ in range(num_batches):
-        feats, _, langs = generate_batch(task, rng, batch_size)
-        with no_grad():
-            logits, decisions = model.logits(feats, language_ids=langs)
-            relabelled, permuted = model.logits(feats, language_ids=permutation[langs])
-        if not (np.array_equal(logits.data, relabelled.data)
+    given = _forward_batches(model, task, num_batches, batch_size, 1234,
+                             np.arange(task.num_languages))
+    relabelled = _forward_batches(model, task, num_batches, batch_size, 1234, permutation)
+    for (*_, logits, decisions), (*_, other, permuted) in zip(given, relabelled):
+        if not (np.array_equal(logits.data, other.data)
                 and all(np.array_equal(a.top2_idx, b.top2_idx)
                         for a, b in zip(decisions, permuted))):
             return False
@@ -251,12 +237,12 @@ class CompareReport:
 
 def compare_adapter_vs_moe(task: SyntheticTaskSpec, adapter_config: EncoderConfig,
                            moe_config: EncoderConfig, train_cfg: TrainConfig,
-                           eval_batches: int = 16, eval_batch_size: int = 16,
-                           budget_tolerance: float = 0.02) -> CompareReport:
+                           eval_batches: int = 16,
+                           eval_batch_size: int = 16) -> CompareReport:
     """Train an oracle-adapter model (ground-truth language ids) against an
     expert-routed model (no ids) at matched inference-parameter budgets.
 
-    The budgets must agree within ``budget_tolerance`` (checked with the
+    The budgets must agree within ``BUDGET_TOLERANCE`` (checked with the
     closed-form counter) or the pairing is rejected.
     """
     if moe_config.adapters is not None:
@@ -266,11 +252,11 @@ def compare_adapter_vs_moe(task: SyntheticTaskSpec, adapter_config: EncoderConfi
     adapter_report = count_params(adapter_config)
     moe_report = count_params(moe_config)
     gap = abs(adapter_report.inference_params - moe_report.inference_params)
-    if gap / adapter_report.inference_params > budget_tolerance:
+    if gap / adapter_report.inference_params > BUDGET_TOLERANCE:
         raise ConfigError(
             f"inference budgets differ by {100 * gap / adapter_report.inference_params:.2f}% "
             f"({adapter_report.inference_params} vs {moe_report.inference_params}); "
-            f"tolerance is {100 * budget_tolerance:.0f}%"
+            f"tolerance is {100 * BUDGET_TOLERANCE:.0f}%"
         )
 
     adapter_model, _ = train(adapter_config, task, train_cfg)

@@ -50,15 +50,6 @@ class RoutingDecision:
         return self.counts / max(self.num_frames, 1)
 
 
-@dataclass
-class CapacityStats:
-    """Per-expert fraction of frames routed above the capacity threshold."""
-
-    ratios: np.ndarray
-    threshold: float
-    num_frames: int
-
-
 class ExpertFFN:
     """One expert: two linear maps with a swish between."""
 
@@ -184,30 +175,26 @@ def aux_load_balance_loss(decision: RoutingDecision) -> Tensor:
     return T.sum_(mean_gates * Tensor(fractions)) / n
 
 
-def over_capacity_ratio(decision: RoutingDecision, capacity_factor: float = 1.0) -> CapacityStats:
-    """Fraction of the batch routed to each expert beyond its fair share.
+def over_capacity_ratio(decision: RoutingDecision) -> np.ndarray:
+    """Per-expert selections beyond the fair share, per frame of the batch.
 
-    The threshold is ``capacity_factor * 2S/N`` selections (each of S frames
-    makes two); the ratio is the excess over that threshold per frame.
+    Each of S frames makes two selections, so an expert's fair share is
+    2S/N; the ratio is its excess over that share divided by S. (GShard's
+    capacity factor scales such a threshold because it drops the excess;
+    no frame is ever dropped here, so the fair share is the one threshold.)
     """
-    if capacity_factor <= 0:
-        raise ParameterError("capacity_factor must be positive")
     s = decision.num_frames
-    n = decision.num_experts
-    threshold = capacity_factor * 2.0 * s / n
-    ratios = np.maximum(0.0, decision.counts - threshold) / max(s, 1)
-    return CapacityStats(ratios=ratios, threshold=threshold, num_frames=s)
+    return np.maximum(0.0, decision.counts - 2.0 * s / decision.num_experts) / max(s, 1)
 
 
-def routing_records(layer_index: int, decision: RoutingDecision,
-                    capacity_factor: float = 1.0) -> list[str]:
+def routing_records(layer_index: int, decision: RoutingDecision) -> list[str]:
     """Line-delimited routing statistics, one record per expert."""
-    stats = over_capacity_ratio(decision, capacity_factor)
+    ratios = over_capacity_ratio(decision)
     mean_gates = decision.mean_gates
     lines = []
     for i in range(decision.num_experts):
         lines.append(
             f"layer={layer_index} expert={i} count={int(decision.counts[i])} "
-            f"mean_gate={mean_gates[i]:.6f} overcap={stats.ratios[i]:.6f}"
+            f"mean_gate={mean_gates[i]:.6f} overcap={ratios[i]:.6f}"
         )
     return lines

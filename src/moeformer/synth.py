@@ -33,6 +33,8 @@ class SyntheticTaskSpec:
     def validate(self) -> None:
         if self.num_languages < 1:
             raise ConfigError("need at least one language")
+        if self.tokens_per_language < 1:
+            raise ConfigError("tokens_per_language must be >= 1")
         if not 0 <= self.shared_tokens <= self.tokens_per_language:
             raise ConfigError("shared_tokens must lie in [0, tokens_per_language]")
         if self.min_tokens < 1 or self.max_tokens < self.min_tokens:

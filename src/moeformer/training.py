@@ -25,7 +25,6 @@ class TrainConfig:
     lr: float = 3e-3
     warmup_steps: int = 100
     aux_weight: float = 0.01
-    capacity_factor: float = 1.0
     specaug: bool = False
     beta1: float = 0.9
     beta2: float = 0.999
@@ -39,8 +38,8 @@ class TrainConfig:
             raise ConfigError("steps and batch_size must be >= 1")
         if not (self.aux_weight >= 0 and self.clip_norm >= 0 and self.warmup_steps >= 0):
             raise ConfigError("aux_weight, clip_norm and warmup must be >= 0")
-        if not (self.lr > 0 and self.eps > 0 and self.capacity_factor > 0):
-            raise ConfigError("lr, eps and capacity_factor must be > 0")
+        if not (self.lr > 0 and self.eps > 0):
+            raise ConfigError("lr and eps must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.seed < 0:
@@ -262,13 +261,8 @@ def clip_gradients(opt: Adam, max_norm: float) -> float:
 # training loop
 
 
-def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
-          train_cfg: TrainConfig, step_hook=None):
-    """Train a fresh model; returns (model, metrics) where metrics is one
-    dict per step (loss, ce, accuracy, per-layer aux/load/over-capacity)."""
-    train_cfg.validate()
-    task.validate()
-    encoder_config.validate()
+def check_task_fit(encoder_config: EncoderConfig, task: SyntheticTaskSpec) -> None:
+    """Refuse a task whose frames or languages the encoder cannot take."""
     if task.feature_dim != encoder_config.frontend.feature_dim:
         raise ConfigError(
             f"task feature_dim {task.feature_dim} != encoder feature_dim "
@@ -279,12 +273,23 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
             f"task frames_per_token {task.frames_per_token} must equal the "
             f"encoder's total downsample {encoder_config.total_downsample}"
         )
-    uses_adapters = encoder_config.adapters is not None
-    if uses_adapters and encoder_config.adapters.num_groups != task.num_languages:
+    adapters = encoder_config.adapters
+    if adapters is not None and adapters.num_groups != task.num_languages:
         raise ConfigError(
-            f"adapter groups {encoder_config.adapters.num_groups} must match "
+            f"adapter groups {adapters.num_groups} must match "
             f"the task's {task.num_languages} languages"
         )
+
+
+def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
+          train_cfg: TrainConfig, step_hook=None):
+    """Train a fresh model; returns (model, metrics) where metrics is one
+    dict per step (loss, ce, accuracy, per-layer aux/load/over-capacity)."""
+    train_cfg.validate()
+    task.validate()
+    encoder_config.validate()
+    check_task_fit(encoder_config, task)
+    uses_adapters = encoder_config.adapters is not None
 
     model = build_model(encoder_config, task.num_labels, train_cfg.seed,
                         train_cfg.np_dtype)
@@ -331,11 +336,11 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
         }
         for li, decision in enumerate(decisions):
             record[f"aux{li}"] = aux_values[li]
-            stats = over_capacity_ratio(decision, train_cfg.capacity_factor)
             loads = decision.load_fractions
+            overcap = over_capacity_ratio(decision)
             for e in range(decision.num_experts):
                 record[f"load{li}_{e}"] = float(loads[e])
-                record[f"ovc{li}_{e}"] = float(stats.ratios[e])
+                record[f"ovc{li}_{e}"] = float(overcap[e])
         metrics.append(record)
         if step_hook is not None:
             step_hook(step, record)

@@ -302,6 +302,7 @@ def test_criterion_6_aux_loss_oracle():
 # 7-8: desk-scale balance and specialization
 
 
+@pytest.mark.slow
 def test_criterion_7_load_balance(balance_run):
     _, trained, metrics = balance_run
     max_load = max(l.load_fractions.max() for l in trained.routing.layers)
@@ -314,6 +315,7 @@ def test_criterion_7_load_balance(balance_run):
                   f"{BALANCE_TRAIN.steps} steps")
 
 
+@pytest.mark.slow
 def test_criterion_8_specialization_without_labels(balance_run):
     untrained, trained, _ = balance_run
     gain = trained.routing.mi_top1 - untrained.routing.mi_top1
@@ -329,6 +331,7 @@ def test_criterion_8_specialization_without_labels(balance_run):
 # 9: adapter parity
 
 
+@pytest.mark.slow
 def test_criterion_9_adapter_parity():
     task = BALANCE_TASK
     moe_cfg = desk_encoder(num_experts=4)

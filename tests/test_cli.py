@@ -246,3 +246,75 @@ def test_encoder_without_causal_stack_trains_and_evaluates_from_its_echo(tmp_pat
                  str(out / "checkpoint.bin"), "--batches", "1", "--batch-size", "2"])
     assert code == 0, capsys.readouterr().err
     assert "accuracy=" in capsys.readouterr().out
+
+
+def _config(path, values=None, drop=()):
+    """Write QUICK to ``path`` without the lines that start with a prefix in
+    ``drop``, with each key of ``values`` set: its line replaced, or appended."""
+    values = values or {}
+    lines = [line for line in QUICK.read_text().splitlines()
+             if not line.startswith(tuple(drop) + tuple(f"{k}=" for k in values))]
+    path.write_text("\n".join(lines + [f"{k}={v}" for k, v in values.items()]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "route-stats"])
+def test_encoder_config_differing_from_the_echo_fails(trained_dir, tmp_path, capsys, command):
+    # the tensor shapes match, but the attention windows are not the trained ones
+    windows = _config(tmp_path / "windows.cfg", {"encoder.noncausal_left_context": 0,
+                                                   "encoder.right_contexts": "0,0"})
+    code = main([command, "--config", str(windows), "--checkpoint",
+                 str(trained_dir / "checkpoint.bin"), "--batches", "1"])
+    assert code == 1
+    _single_line_error(capsys, "mismatch", "encoder.noncausal_left_context=0")
+
+
+def test_encoder_config_matching_the_echo_in_another_spelling_evaluates(trained_dir, tmp_path,
+                                                                      capsys):
+    # right_context_total=4 over two non-causal layers is right_contexts=2,2
+    total = _config(tmp_path / "total.cfg", {"encoder.right_context_total": 4},
+                    drop=("encoder.right_contexts=",))
+    task_only = _config(tmp_path / "task.cfg", drop=("encoder.",))
+    outputs = []
+    for config in (QUICK, total, task_only):
+        code = main(["eval", "--config", str(config), "--checkpoint",
+                     str(trained_dir / "checkpoint.bin"), "--batches", "1"])
+        assert code == 0, capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["eval", "route-stats"])
+@pytest.mark.parametrize("key, value, detail", [
+    ("task.frames_per_token", 2, "frames_per_token"),
+    ("task.languages", 3, "labels"),      # a head of 7 labels, a task of 10
+    ("task.feature_dim", 6, "feature_dim"),
+])
+def test_task_that_does_not_fit_the_checkpoint_fails(trained_dir, tmp_path, capsys,
+                                                     command, key, value, detail):
+    task_only = _config(tmp_path / "task.cfg", {key: value}, drop=("encoder.",))
+    code = main([command, "--config", str(task_only), "--checkpoint",
+                 str(trained_dir / "checkpoint.bin"), "--batches", "1"])
+    assert code == 1
+    _single_line_error(capsys, detail)
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("encoder.expert_mult", -1, "expert_mult"),
+    ("encoder.expert_mult", 0, "expert_mult"),
+    ("encoder.adapter_dim", -3, "adapter_dim"),
+    ("task.tokens_per_language", 0, "tokens_per_language"),
+])
+def test_empty_or_negative_width_is_single_line_error(tmp_path, capsys, monkeypatch,
+                                                      key, value, detail):
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    values = {key: value}
+    if key == "task.tokens_per_language":
+        values["task.shared_tokens"] = 0
+    bad = _config(tmp_path / "bad.cfg", values)
+    commands = ["train"] + (["count-params"] if key.startswith("encoder") else [])
+    for command in commands:
+        code = main([command, "--config", str(bad)])
+        assert code == 1 and calls == []
+        _single_line_error(capsys, detail)

@@ -6,7 +6,6 @@ import pytest
 
 from moeformer import ConfigError, ParameterError, moe
 from moeformer.moe import (
-    CapacityStats,
     ExpertFFN,
     MoELayer,
     RoutingDecision,
@@ -214,8 +213,8 @@ def test_over_capacity_balanced_is_zero():
     gates = tensor(np.full((8, 4), 0.25))
     d = route_top2(gates)
     d = RoutingDecision(d.top2_idx, d.top2_gates, d.gates, np.array([4, 4, 4, 4]), 8)
-    stats = over_capacity_ratio(d, 1.0)
-    np.testing.assert_array_equal(stats.ratios, 0.0)
+    ratios = over_capacity_ratio(d)
+    np.testing.assert_array_equal(ratios, 0.0)
 
 
 def test_over_capacity_hand_case():
@@ -226,9 +225,8 @@ def test_over_capacity_hand_case():
         counts=np.array([6, 6, 5, 3]),
         num_frames=10,
     )
-    stats = over_capacity_ratio(d, 1.0)
-    np.testing.assert_allclose(stats.ratios, [0.1, 0.1, 0.0, 0.0], atol=1e-12)
-    assert stats.threshold == 5.0
+    ratios = over_capacity_ratio(d)
+    np.testing.assert_allclose(ratios, [0.1, 0.1, 0.0, 0.0], atol=1e-12)
 
 
 def test_over_capacity_maximal_skew():
@@ -239,15 +237,9 @@ def test_over_capacity_maximal_skew():
         counts=np.array([10, 10, 0, 0]),
         num_frames=10,
     )
-    stats = over_capacity_ratio(d, 1.0)
-    np.testing.assert_allclose(stats.ratios, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
-    assert np.all((stats.ratios >= 0) & (stats.ratios <= 1))
-
-
-def test_over_capacity_rejects_bad_factor():
-    d = route_top2(tensor(np.full((2, 4), 0.25)))
-    with pytest.raises(ParameterError):
-        over_capacity_ratio(d, 0.0)
+    ratios = over_capacity_ratio(d)
+    np.testing.assert_allclose(ratios, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+    assert np.all((ratios >= 0) & (ratios <= 1))
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +391,7 @@ def test_routing_records_format():
     rng = np.random.default_rng(16)
     layer = make_layer(rng, 4, 3)
     _, d = layer.forward(Tensor(rng.standard_normal((9, 4))))
-    lines = routing_records(2, d, capacity_factor=1.0)
+    lines = routing_records(2, d)
     assert len(lines) == 3
     for i, line in enumerate(lines):
         fields = dict(part.split("=") for part in line.split())
