@@ -149,7 +149,7 @@ def _encoder_macs(config: EncoderConfig, dense: bool, frames, pairs,
     return macs
 
 
-def flops_per_frame(config: EncoderConfig, dense: bool | None = None):
+def flops_per_frame(config: EncoderConfig) -> tuple[int, int]:
     """Steady-state multiply-accumulates per final output frame.
 
     Returns (sparse, dense_equivalent): sparse evaluates 2 experts per routed
@@ -157,12 +157,10 @@ def flops_per_frame(config: EncoderConfig, dense: bool | None = None):
     time-stacking step run at twice the output frame rate and are weighted
     accordingly; attention scores a full window per frame.
     """
-    if dense is None:
-        return (flops_per_frame(config, dense=False),
-                flops_per_frame(config, dense=True))
-    return _encoder_macs(
-        config, dense, frames=lambda rate: rate,
-        pairs=lambda n, l: n * (l.left_context + 1 + l.right_context))
+    return tuple(
+        _encoder_macs(config, dense, frames=lambda rate: rate,
+                      pairs=lambda n, l: n * (l.left_context + 1 + l.right_context))
+        for dense in (False, True))
 
 
 def _window_pairs(frames: int, cfg: ConformerLayerConfig) -> int:

@@ -97,14 +97,22 @@ def load_checkpoint(path):
 
 
 def load_into(named_params, path):
-    """Load a checkpoint into existing tensors, validating names and shapes.
+    """Load a checkpoint into existing tensors with ``copy_into``; returns
+    (config_text, step)."""
+    tensors, config_text, step = load_checkpoint(path)
+    copy_into(named_params, tensors, path)
+    return config_text, step
+
+
+def copy_into(named_params, tensors: dict[str, np.ndarray], path) -> None:
+    """Copy the tensors read from checkpoint ``path`` into existing tensors,
+    validating names and shapes.
 
     ``named_params`` is an iterable of (name, Tensor). Values are copied
     into each tensor's existing buffer (cast to its dtype), so views of it,
-    such as an optimizer's flat parameter arena, see them. Returns
-    (config_text, step). The first mismatching tensor is named in the error.
+    such as an optimizer's flat parameter arena, see them. The first
+    mismatching tensor is named in the error.
     """
-    tensors, config_text, step = load_checkpoint(path)
     params = dict(named_params)
     if set(params) != set(tensors):
         missing = sorted(set(params) - set(tensors))
@@ -123,4 +131,3 @@ def load_into(named_params, path):
             )
     for name, tensor in params.items():
         tensor.data[...] = tensors[name]
-    return config_text, step

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .accounting import count_params, fitted_remainder, report_kv, report_lines
-from .checkpoint import load_checkpoint, load_into, save_checkpoint
+from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .config import encoder_from_flat, encoder_to_flat, parse_kv_file, parse_kv_text
 from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverged
 from .evaluation import compare_adapter_vs_moe, evaluate, routing_stream
@@ -93,7 +93,7 @@ def _restore_model(args):
         raise ConfigError(f"{args.checkpoint}: the classification head has {num_labels} "
                           f"labels, the task {task.num_labels}")
     model = build_model(encoder_cfg, num_labels, seed=0)
-    load_into(model.parameters(), args.checkpoint)
+    copy_into(model.parameters(), tensors, args.checkpoint)
     return model, task, step
 
 

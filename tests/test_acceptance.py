@@ -1,8 +1,10 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line with its
-measured values. The desk-scale training run backing criteria 7 and 8 and
-the adapter-parity run backing criterion 9 execute once as module fixtures.
+measured values. Criteria 1-3 count the shipped ``configs/reference/``
+files; the desk-scale training run backing criteria 7 and 8 runs
+``configs/desk/balance.cfg`` once as a module fixture, and criterion 9 runs
+``configs/desk/compare.cfg``.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -16,11 +18,12 @@ import pytest
 
 import oracles
 from fdiff import assert_grads_close
+from geometry import REFERENCE_SIZES_M, desk_encoder, reference_family
 
 from moeformer.accounting import count_params, fitted_remainder, total_macs
 from moeformer.checkpoint import load_checkpoint, save_checkpoint
 from moeformer.cli import main as cli_main
-from moeformer.config import AdapterConfig
+from moeformer.config import encoder_from_flat, parse_kv_file
 from moeformer.encoder import build_encoder
 from moeformer.evaluation import compare_adapter_vs_moe, evaluate
 from moeformer.moe import (
@@ -29,10 +32,9 @@ from moeformer.moe import (
     over_capacity_ratio,
     route_top2,
 )
-from moeformer.presets import REFERENCE_SIZES_M, desk_encoder, reference_family
-from moeformer.synth import SyntheticTaskSpec
+from moeformer.synth import SyntheticTaskSpec, task_from_flat
 from moeformer.tensor import Tensor, mean, tensor
-from moeformer.training import TrainConfig, build_model, metrics_line, train
+from moeformer.training import TrainConfig, build_model, metrics_line, train, train_from_flat
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE_PUBLISHED = 180_000_000
@@ -48,24 +50,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 # the desk-scale training run shared by criteria 7 and 8
 
 
-BALANCE_TASK = SyntheticTaskSpec(
-    num_languages=4, feature_dim=16, tokens_per_language=8, shared_tokens=2,
-    min_tokens=10, max_tokens=14, frames_per_token=4, noise_scale=0.2,
-    language_offset_scale=1.5, seed=0,
-)
-BALANCE_ENCODER = desk_encoder(num_experts=4)
-BALANCE_TRAIN = TrainConfig(steps=3000, batch_size=12, lr=1.5e-3, warmup_steps=100,
-                            aux_weight=0.01, seed=0)
-
-
 @pytest.fixture(scope="module")
 def balance_run():
-    fresh = build_model(BALANCE_ENCODER, BALANCE_TASK.num_labels,
-                        BALANCE_TRAIN.seed, np.float32)
-    untrained = evaluate(fresh, BALANCE_TASK, num_batches=20, batch_size=24)
-    model, metrics = train(BALANCE_ENCODER, BALANCE_TASK, BALANCE_TRAIN)
-    trained = evaluate(model, BALANCE_TASK, num_batches=20, batch_size=24)
-    return untrained, trained, metrics
+    raw = parse_kv_file(REPO / "configs" / "desk" / "balance.cfg")
+    encoder_cfg, task, train_cfg = (encoder_from_flat(raw), task_from_flat(raw),
+                                    train_from_flat(raw))
+    fresh = build_model(encoder_cfg, task.num_labels, train_cfg.seed, np.float32)
+    untrained = evaluate(fresh, task, num_batches=20, batch_size=24)
+    model, _ = train(encoder_cfg, task, train_cfg)
+    trained = evaluate(model, task, num_batches=20, batch_size=24)
+    return encoder_cfg, train_cfg, untrained, trained
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def test_criterion_6_aux_loss_oracle():
 
 @pytest.mark.slow
 def test_criterion_7_load_balance(balance_run):
-    _, trained, metrics = balance_run
+    _, train_cfg, _, trained = balance_run
     max_load = max(l.load_fractions.max() for l in trained.routing.layers)
     overcap = trained.routing.overcap_max
     bound = 1.5 * (2 / 4)
@@ -312,15 +306,15 @@ def test_criterion_7_load_balance(balance_run):
     acc = trained.accuracy
     report(7, ok, f"max load {max_load:.3f} <= {bound}; over-capacity max "
                   f"{overcap:.3f} in [0, 0.35]; accuracy {acc:.3f}; "
-                  f"{BALANCE_TRAIN.steps} steps")
+                  f"{train_cfg.steps} steps")
 
 
 @pytest.mark.slow
 def test_criterion_8_specialization_without_labels(balance_run):
-    untrained, trained, _ = balance_run
+    encoder_cfg, _, untrained, trained = balance_run
     gain = trained.routing.mi_top1 - untrained.routing.mi_top1
     # contract: the routed model never receives language ids
-    assert BALANCE_ENCODER.adapters is None
+    assert encoder_cfg.adapters is None
     report(8, gain >= 0.5,
            f"routing-language MI gain {gain:.3f} bits >= 0.5 "
            f"(untrained {untrained.routing.mi_top1:.3f}, "
@@ -333,14 +327,11 @@ def test_criterion_8_specialization_without_labels(balance_run):
 
 @pytest.mark.slow
 def test_criterion_9_adapter_parity():
-    task = BALANCE_TASK
-    moe_cfg = desk_encoder(num_experts=4)
-    adapter_cfg = desk_encoder(moe_placement="none", num_experts=0,
-                               adapters=AdapterConfig(dim=386, num_groups=4))
-    train_cfg = TrainConfig(steps=1200, batch_size=12, lr=1.5e-3, warmup_steps=100,
-                            aux_weight=0.01, seed=0)
-    rep = compare_adapter_vs_moe(task, adapter_cfg, moe_cfg, train_cfg,
-                                 eval_batches=16, eval_batch_size=16)
+    raw = parse_kv_file(REPO / "configs" / "desk" / "compare.cfg")
+    rep = compare_adapter_vs_moe(
+        task_from_flat(raw), encoder_from_flat(raw, prefix="adapter_encoder."),
+        encoder_from_flat(raw, prefix="moe_encoder."), train_from_flat(raw),
+        eval_batches=16, eval_batch_size=16)
     gap_points = abs(rep.moe_accuracy - rep.adapter_accuracy) * 100
     ok = (rep.budget_gap <= 0.02 and rep.language_id_independent
           and gap_points <= 5.0)
@@ -408,13 +399,10 @@ def test_criterion_10_streaming_invariants():
 
 
 def test_criterion_11_plumbing(tmp_path):
-    # checkpoint round trip, bit-exact
-    enc = desk_encoder(causal_layers=1, causal_dim=16, non_causal_layers=2,
-                       non_causal_dim=24, heads=2, feature_dim=8, ffn_mult=2,
-                       num_experts=2)
-    task = SyntheticTaskSpec(num_languages=2, feature_dim=8, tokens_per_language=4,
-                             shared_tokens=1, min_tokens=4, max_tokens=6,
-                             frames_per_token=4, noise_scale=0.2, seed=0)
+    # checkpoint round trip, bit-exact, on the quick config's model
+    quick = REPO / "configs" / "desk" / "quick.cfg"
+    raw = parse_kv_file(quick)
+    enc, task = encoder_from_flat(raw), task_from_flat(raw)
     model = build_model(enc, task.num_labels, seed=0)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(model.parameters(), ckpt, step=1)
@@ -430,7 +418,6 @@ def test_criterion_11_plumbing(tmp_path):
     ok_determinism = [metrics_line(m) for m in m1] == [metrics_line(m) for m in m2]
 
     # every CLI subcommand exits 0 on the bundled example configs
-    quick = REPO / "configs" / "desk" / "quick.cfg"
     compare_quick = REPO / "configs" / "desk" / "compare_quick.cfg"
     ref_b1 = REPO / "configs" / "reference" / "b1.cfg"
     ref_e2 = REPO / "configs" / "reference" / "e2.cfg"

@@ -3,6 +3,7 @@ MAC instrumentation equality, and reference-family size reproduction."""
 
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +17,11 @@ from moeformer.accounting import (
 )
 from moeformer.config import AdapterConfig
 from moeformer.encoder import build_encoder
-from moeformer.presets import (
-    REFERENCE_SIZES_M,
-    desk_encoder,
-    reference_baseline,
-    reference_family,
-    reference_moe,
-)
 from moeformer.tensor import count_macs
 
+from geometry import REFERENCE_SIZES_M, desk_encoder, reference_family
+
+REPO = Path(__file__).resolve().parent.parent
 BASELINE_PUBLISHED = 180_000_000
 
 
@@ -112,8 +109,9 @@ def test_executable_consistency_exact():
 
 
 def test_paper_dim_moe_adds_seven_ffns_plus_gate_per_layer():
-    base = count_params(reference_baseline())
-    moe = count_params(reference_moe("end", 8, 4))
+    family = reference_family()
+    base = count_params(family["b1"])
+    moe = count_params(family["e2"])  # 8 experts at the end feed-forward
     per_layer_ffn = 8 * 640**2 + 5 * 640
     expected_delta = 10 * (7 * per_layer_ffn + 8 * 640)
     assert moe.total_params - base.total_params == expected_delta
@@ -179,9 +177,9 @@ def test_flops_per_frame_is_the_steady_state_of_total_macs():
     for cfg in configs:
         ds = cfg.total_downsample
         n = 200 * ds
-        for dense in (False, True):
-            step = total_macs(cfg, n + ds, dense=dense) - total_macs(cfg, n, dense=dense)
-            assert flops_per_frame(cfg, dense) == step
+        steps = tuple(total_macs(cfg, n + ds, dense=dense) - total_macs(cfg, n, dense=dense)
+                      for dense in (False, True))
+        assert flops_per_frame(cfg) == steps
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +233,23 @@ def test_reference_activation_ratio(calibrated):
     fam, remainder = calibrated
     total, inference = sized(fam, remainder, "e2")
     assert 0.50 <= inference / total <= 0.56
+
+
+def test_readme_size_table_is_reproduced(calibrated):
+    # the README's "Accounting" rows: published sizes as in REFERENCE_SIZES_M,
+    # counted sizes as count_params of configs/reference/<id>.cfg plus the
+    # b1-calibrated remainder, in millions rounded to 0.1
+    fam, remainder = calibrated
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\w+) \| [^|]+ \| (\d+)M / (\d+)M \| ([^|]+) \|$",
+                      readme, re.MULTILINE)
+    assert [row[0] for row in rows] == ["b1", "e2", "e3", "e5", "e6", "e7"]
+    for key, pub_total, pub_inf, counted in rows:
+        assert (int(pub_total), int(pub_inf)) == REFERENCE_SIZES_M[key]
+        total, inference = sized(fam, remainder, key)
+        expected = ("calibration point" if key == "b1"
+                    else f"{total / 1e6:.1f}M / {inference / 1e6:.1f}M")
+        assert counted == expected, key
 
 
 def test_report_kv_roundtrip():

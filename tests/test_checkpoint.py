@@ -5,12 +5,12 @@ import pytest
 
 from moeformer import CheckpointError
 from moeformer.checkpoint import load_checkpoint, load_into, save_checkpoint
-from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec
 from moeformer.tensor import Tensor
 from moeformer.training import Adam, TrainConfig, build_model, checkpoint_config_text
 
 import oracles
+from geometry import desk_encoder
 
 
 def small_model(seed=0, **overrides):

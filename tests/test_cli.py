@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moeformer import cli
-from moeformer.checkpoint import FORMAT_VERSION, MAGIC, save_checkpoint
+from moeformer import checkpoint, cli
+from moeformer.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from moeformer.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,6 +42,21 @@ def test_eval_exits_zero(trained_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy=" in out
     assert (tmp_path / "eval.txt").exists()
+
+
+def test_eval_reads_the_checkpoint_once(trained_dir, monkeypatch, capsys):
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
+    monkeypatch.setattr(cli, "load_checkpoint", counted)
+    code = main(["eval", "--config", str(QUICK), "--checkpoint",
+                 str(trained_dir / "checkpoint.bin"), "--batches", "1"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_route_stats_exits_zero(trained_dir, capsys):

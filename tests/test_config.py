@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from moeformer import ConfigError
+from moeformer.accounting import count_params
 from moeformer.config import (
     ENCODER_KEYS,
     REQUIRED,
@@ -16,9 +17,11 @@ from moeformer.config import (
     parse_kv_text,
     split_right_context,
 )
-from moeformer.presets import desk_encoder, reference_family
+from moeformer.evaluation import BUDGET_TOLERANCE
 from moeformer.synth import SyntheticTaskSpec, task_from_flat
-from moeformer.training import TrainConfig, train_from_flat
+from moeformer.training import TrainConfig, check_task_fit, train_from_flat
+
+from geometry import desk_encoder, reference_family
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -43,7 +46,7 @@ def test_split_right_context_even_as_possible():
     desk_encoder(causal_layers=0),
     desk_encoder(non_causal_layers=0),
     _with_residual_scale(desk_encoder(), 0.1234567),
-    *reference_family().values(),
+    *reference_family().values(),  # the 12 files under configs/reference
 ])
 def test_encoder_flat_roundtrip(cfg):
     text = encoder_to_flat(cfg)
@@ -71,10 +74,27 @@ def test_readme_documents_every_encoder_key():
         assert row in readme, row
 
 
-@pytest.mark.parametrize("name", sorted(reference_family()))
-def test_reference_config_matches_preset(name):
-    cfg = parse_kv_file(REPO / "configs" / "reference" / f"{name}.cfg")
-    assert encoder_from_flat(cfg) == reference_family()[name]
+@pytest.mark.parametrize("path", sorted((REPO / "configs" / "desk").glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_shipped_desk_config_is_usable(path):
+    # everything train / compare-adapter check before the first step, so a
+    # drifted file fails here and not minutes into a training criterion
+    raw = parse_kv_file(path)
+    sections = {key.split(".", 1)[0] for key in raw}
+    pair = "encoder" not in sections
+    prefixes = ("adapter_encoder.", "moe_encoder.") if pair else ("encoder.",)
+    assert sections == {p.rstrip(".") for p in prefixes} | {"task", "train"}
+    encoders = [encoder_from_flat(raw, prefix=p) for p in prefixes]
+    task, train_cfg = task_from_flat(raw), train_from_flat(raw)
+    task.validate()
+    train_cfg.validate()
+    for cfg in encoders:
+        check_task_fit(cfg, task)
+    if pair:
+        adapter_cfg, moe_cfg = encoders
+        assert adapter_cfg.adapters is not None and moe_cfg.adapters is None
+        budgets = [count_params(cfg).inference_params for cfg in encoders]
+        assert abs(budgets[0] - budgets[1]) / budgets[0] <= BUDGET_TOLERANCE
 
 
 def test_train_and_task_defaults_live_in_their_dataclasses():

@@ -22,11 +22,11 @@ from moeformer.encoder import (
     frame_stack,
     spec_augment,
 )
-from moeformer.presets import desk_encoder
 from moeformer.training import build_model
 from moeformer.tensor import Tensor, mean
 
 import oracles
+from geometry import desk_encoder
 
 DESK_BALANCE = Path(__file__).resolve().parent.parent / "configs" / "desk" / "balance.cfg"
 

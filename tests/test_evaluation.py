@@ -14,10 +14,11 @@ from moeformer.evaluation import (
     routing_stream,
 )
 from moeformer.moe import MoELayer, route_top2
-from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec, generators_for
 from moeformer.tensor import Tensor
 from moeformer.training import TrainConfig, TrainedModel, build_model, train
+
+from geometry import desk_encoder
 
 
 def micro_encoder(**overrides):

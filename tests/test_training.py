@@ -8,7 +8,6 @@ import pytest
 
 from moeformer import ConfigError, ParameterError, TrainingDiverged
 from moeformer.moe import MoELayer
-from moeformer.presets import desk_encoder
 from moeformer.synth import SyntheticTaskSpec
 from moeformer.tensor import Tensor
 from moeformer.training import (
@@ -22,6 +21,7 @@ from moeformer.training import (
 )
 
 import oracles
+from geometry import desk_encoder
 
 
 def micro_encoder(**overrides):
