@@ -16,6 +16,7 @@ other section from its dataclass fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -56,6 +57,8 @@ class ConformerLayerConfig:
             raise ConfigError(f"moe_placement must be one of {MOE_PLACEMENTS}")
         if self.moe_placement != "none" and self.num_experts < 2:
             raise ConfigError("expert routing needs num_experts >= 2")
+        if not math.isfinite(self.moe_residual_scale):
+            raise ConfigError(f"moe_residual_scale must be finite, got {self.moe_residual_scale}")
 
     @property
     def moe_sites(self) -> tuple[bool, bool]:

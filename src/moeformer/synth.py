@@ -41,8 +41,9 @@ class SyntheticTaskSpec:
             raise ConfigError("invalid sequence length range")
         if self.frames_per_token < 1 or self.feature_dim < 1:
             raise ConfigError("frames_per_token and feature_dim must be >= 1")
-        if self.noise_scale < 0 or self.language_offset_scale < 0:
-            raise ConfigError("noise_scale and language_offset_scale must be >= 0")
+        scales = (self.noise_scale, self.language_offset_scale)
+        if not (np.isfinite(scales).all() and min(scales) >= 0):
+            raise ConfigError("noise_scale and language_offset_scale must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError("task seed must be >= 0")
 

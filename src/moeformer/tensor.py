@@ -313,31 +313,47 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), backward)
 
 
+def _rows_times(rows: Array, w: Array) -> Array:
+    """``rows @ w`` for a (M, k) ``rows`` and a (k, n) ``w``, as one GEMM.
+
+    A lone row is computed as row 0 of a two-row product: on its own,
+    OpenBLAS sends it down the gemv path, which rounds differently from the
+    same row inside a larger gemm (an expert that receives one routed frame,
+    a one-frame streaming prefix).
+    """
+    if rows.shape[0] == 1:
+        return np.matmul(np.repeat(rows, 2, axis=0), w)[:1]
+    return np.matmul(rows, w)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, numpy broadcasting rules.
 
-    A left operand holding exactly one row against a 2-D ``b`` is computed as
-    row 0 of a two-row product: on its own, OpenBLAS sends it down the gemv
-    path, which rounds differently from the same row inside a larger gemm
-    (an expert that receives one routed frame, a one-frame streaming prefix).
-    This makes a lone row match its value in a taller product only where
-    the BLAS row results do not depend on M for M >= 2; with OpenBLAS that
-    holds at the desk encoder's widths (96<->384, 64<->256, 96->96, 64->64)
-    but not for wider inner dimensions (at 576->144, M <= 12 differs from
-    M = 64).
+    Against a 2-D ``b`` the leading axes of ``a`` are flattened to M rows
+    and each product is one GEMM: ``(M, k) @ (k, n)`` forward,
+    ``(M, n) @ (n, k)`` for the input gradient and ``(k, M) @ (M, n)`` for
+    the weight gradient. The BLAS exactness limits apply to those M rows: a
+    row's forward result matches its value in a taller product only where
+    the BLAS row results do not depend on M (a lone row runs inside a
+    two-row product, see ``_rows_times``); with OpenBLAS that holds at the
+    desk encoder's widths (96<->384, 64<->256, 96->96, 64->64) but not for
+    wider inner dimensions (at 576->144, M <= 12 differs from M = 64). The
+    gradients multiply by transposed operands, which OpenBLAS runs on an
+    M-dependent path up to about 18 rows, so they match per-sequence
+    products to rounding only. A ``b`` of rank 3 or more broadcasts as in
+    ``np.matmul``.
     """
     if a.ndim < 1 or b.ndim < 2:
         raise ParameterError(
             f"matmul: left operand must be at least 1-D and right at least 2-D, "
             f"got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    k = a.shape[-1]
+    if k != b.shape[-2]:
         raise ParameterError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.size == a.shape[-1]:
-        pair = np.repeat(a.data.reshape(1, -1), 2, axis=0)
-        data = np.matmul(pair, b.data)[0].reshape(a.shape[:-1] + b.shape[-1:])
-    else:
-        data = np.matmul(a.data, b.data)
-    _tally(data.size * a.shape[-1])
+    if b.ndim == 2:
+        return _flat_matmul(a, b)
+    data = np.matmul(a.data, b.data)
+    _tally(data.size * k)
 
     def backward(g: Array) -> None:
         # a vector left operand acts as one row: promote it and its gradient
@@ -348,6 +364,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
             _accum(b, _unbroadcast(gb, b.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def _flat_matmul(a: Tensor, b: Tensor) -> Tensor:
+    k, n = b.shape
+    data = _rows_times(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,))
+    _tally(data.size * k)
+
+    def backward(g: Array) -> None:
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            _accum(a, np.matmul(g2, b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, np.matmul(a.data.reshape(-1, k).T, g2))
 
     return _make(data, (a, b), backward)
 
@@ -569,7 +600,9 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Full 1-D convolution over time with left padding (frame t sees only <= t).
 
     ``x`` is (batch, frames, in_channels); ``weight`` is (kernel, in_channels,
-    out_channels) with weight[-1] applied to the current frame.
+    out_channels) with weight[-1] applied to the current frame. Each tap is
+    one ``(batch*frames, in_channels) @ (in_channels, out_channels)`` GEMM
+    with ``matmul``'s one-row rule, added after the bias in tap order.
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise ParameterError(
@@ -584,23 +617,26 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     b, t, _ = x.shape
     xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
-    data = np.zeros((b, t, cout), dtype=x.dtype) + bias.data
+    taps = [xp[:, j : j + t, :].reshape(-1, cin) for j in range(k)]
+    data = np.zeros((b * t, cout), dtype=x.dtype) + bias.data
     for j in range(k):
-        data = data + np.matmul(xp[:, j : j + t, :], weight.data[j])
+        data = data + _rows_times(taps[j], weight.data[j])
+    data = data.reshape(b, t, cout)
     _tally(b * t * k * cin * cout)
 
     def backward(g: Array) -> None:
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 1)))
+        g2 = g.reshape(-1, cout)
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
             for j in range(k):
-                gw[j] = np.einsum("bti,bto->io", xp[:, j : j + t, :], g)
+                gw[j] = np.matmul(taps[j].T, g2)
             _accum(weight, gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, j : j + t, :] += np.matmul(g, weight.data[j].T)
+                gxp[:, j : j + t, :] += np.matmul(g2, weight.data[j].T).reshape(b, t, cin)
             _accum(x, gxp[:, k - 1 :, :])
 
     return _make(data, (x, weight, bias), backward)

@@ -36,6 +36,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be >= 1")
+        if not np.isfinite([self.lr, self.eps, self.aux_weight, self.clip_norm]).all():
+            raise ConfigError("lr, eps, aux_weight and clip_norm must be finite")
         if not (self.aux_weight >= 0 and self.clip_norm >= 0 and self.warmup_steps >= 0):
             raise ConfigError("aux_weight, clip_norm and warmup must be >= 0")
         if not (self.lr > 0 and self.eps > 0):

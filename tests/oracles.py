@@ -2,8 +2,8 @@
 
 Everything here is written against raw arrays, deliberately sharing no code
 with the package's graph ops, except ``dense_moe_forward``,
-``per_group_adapters`` and ``padded_slice_axis``: those are built from tensor
-ops so that a graph using them still backpropagates.
+``per_group_adapters``, ``padded_slice_axis`` and ``batched_matmul``: those
+are built from tensor ops so that a graph using them still backpropagates.
 """
 
 from __future__ import annotations
@@ -191,6 +191,33 @@ def padded_slice_axis(x, axis, start=None, stop=None, step=None):
         T._accum(x, gx)
 
     return T._make(x.data[index], (x,), backward)
+
+
+def batched_matmul(a, b):
+    """``tensor.matmul`` with ``np.matmul``'s batching: a (B, T, k) left
+    operand against a 2-D ``b`` runs as B products of T rows, and the weight
+    gradient is a (B, k, n) stack of products summed over B. A left operand
+    of one row is computed as row 0 of a two-row product, as
+    ``tensor.matmul`` does. Same signature and return as ``tensor.matmul``,
+    so tests install it in its place to train a twin model."""
+    if b.ndim == 2 and a.size == a.shape[-1]:
+        pair = np.repeat(a.data.reshape(1, -1), 2, axis=0)
+        data = np.matmul(pair, b.data)[0].reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        data = np.matmul(a.data, b.data)
+    T._tally(data.size * a.shape[-1])
+
+    def backward(g):
+        # a vector left operand acts as one row: promote it and its gradient
+        a2, g2 = (a.data[None], g[..., None, :]) if a.ndim == 1 else (a.data, g)
+        if a.requires_grad:
+            ga = np.matmul(g2, np.swapaxes(b.data, -1, -2))
+            T._accum(a, T._unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
+            T._accum(b, T._unbroadcast(gb, b.shape))
+
+    return T._make(data, (a, b), backward)
 
 
 class PerTensorAdam:

@@ -2,6 +2,7 @@
 the happy path and 1 with a one-line diagnostic on errors."""
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,11 @@ def test_negative_config_seed_is_single_line_error(tmp_path, capsys, key, value)
     ("train.clip_norm", "-1"), ("train.warmup", "-5"), ("train.beta1", "1.5"),
     ("train.beta2", "1"), ("train.capacity_factor", "0"), ("train.lr", "0"),
     ("train.eps", "0"),
+    # non-finite values would make training diverge at step 0 or 1; an
+    # infinite clip_norm would disable clipping, which only 0 may do
+    ("train.lr", "inf"), ("train.clip_norm", "inf"), ("train.aux_weight", "inf"),
+    ("task.noise", "inf"), ("task.noise", "nan"), ("task.language_offset", "inf"),
+    ("encoder.moe_residual_scale", "nan"), ("encoder.moe_residual_scale", "inf"),
 ])
 def test_out_of_range_training_value_is_refused_before_training(tmp_path, capsys,
                                                                 monkeypatch, key, value):
@@ -241,7 +247,9 @@ def test_out_of_range_training_value_is_refused_before_training(tmp_path, capsys
     monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
     bad = tmp_path / "train.cfg"
     bad.write_text(QUICK.read_text() + f"{key}={value}\n")
-    code = main(["train", "--config", str(bad)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--config", str(bad)])
     assert code == 1 and calls == []
     _single_line_error(capsys, key.split(".")[1])
 

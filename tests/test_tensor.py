@@ -6,6 +6,7 @@ import pytest
 from moeformer import ParameterError
 from moeformer.tensor import (
     Tensor,
+    causal_conv,
     causal_depthwise_conv,
     concat,
     count_macs,
@@ -107,6 +108,35 @@ def test_matmul_one_row_matches_row_of_taller_product():
             np.testing.assert_array_equal(out.data.reshape(-1), full[0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_matmul_matches_batched_oracle_at_desk_widths(dtype):
+    # (B, T, k) @ (k, n) runs as one (B*T, k) GEMM. At the desk widths a
+    # row's BLAS result does not depend on the row count, so the forward
+    # equals B per-sequence products bit for bit. The gradients are one
+    # GEMM each against the oracle's B small ones: a GEMM on a transposed
+    # operand takes an OpenBLAS small-matrix path at up to about 18 rows
+    # (T here), and the weight gradient sums the B*T rows in one order, so
+    # both agree to rounding; 1e-12 of their largest entry bounds float64
+    # sums of at most 384 terms with a wide margin
+    rng = np.random.default_rng(23)
+    widths = ((96, 384), (384, 96), (64, 256), (256, 64), (96, 96), (64, 64))
+    for (k, n), t in zip(widths, (10, 14, 19, 23, 28, 12)):
+        x = rng.standard_normal((12, t, k)).astype(dtype)
+        probe = rng.standard_normal((12, t, n)).astype(dtype)
+        w = (rng.standard_normal((k, n)) / np.sqrt(k)).astype(dtype)
+        results = []
+        for op in (matmul, oracles.batched_matmul):
+            a, b = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+            out = op(a, b)
+            sum_(out * Tensor(probe)).backward()
+            results.append((out.data, a.grad, b.grad))
+        (out, ga, gb), (want, want_ga, want_gb) = results
+        np.testing.assert_array_equal(out, want)
+        if dtype == np.float64:
+            for got, ref in ((ga, want_ga), (gb, want_gb)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_layer_norm_constant_vector_is_zero_before_affine():
     d = 6
     gain = Tensor(np.ones(d), requires_grad=False)
@@ -126,6 +156,21 @@ def test_causal_conv_output_ignores_future_frames():
     out = causal_depthwise_conv(Tensor(bumped), w, b).data
     np.testing.assert_array_equal(base[0, :7], out[0, :7])
     assert not np.allclose(base[0, 7], out[0, 7])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_conv_prefix_matches_longer_input(dtype):
+    # a one-frame input is one row: computed inside a two-row product it
+    # equals frame 0 of a longer input (in float64 the gemv path would
+    # differ); longer prefixes equal their frames
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((1, 24, 32)).astype(dtype)
+    w = Tensor((rng.standard_normal((3, 32, 32)) / np.sqrt(96)).astype(dtype))
+    b = Tensor(rng.standard_normal(32).astype(dtype))
+    full = causal_conv(Tensor(x), w, b).data
+    for t in (1, 2, 9):
+        prefix = causal_conv(Tensor(x[:, :t]), w, b).data
+        np.testing.assert_array_equal(prefix, full[:, :t])
 
 
 def test_masked_attention_future_perturbation_is_bit_exact():
@@ -400,6 +445,20 @@ def test_gradcheck_layer_norm_and_conv():
         return mean(layer_norm(h, g, b) * h)
 
     assert_grads_close(loss_fn, {"gain": g, "bias": b, "conv_w": cw, "conv_b": cb})
+
+
+def test_gradcheck_causal_conv():
+    rng = np.random.default_rng(48)
+    x = _param(rng, 3, 7, 4)
+    w = _param(rng, 3, 4, 5)
+    b = _param(rng, 5)
+    probe = rng.standard_normal((3, 7, 5))
+
+    def loss_fn():
+        out = causal_conv(x, w, b)
+        return mean(out * out * probe)
+
+    assert_grads_close(loss_fn, {"x": x, "weight": w, "bias": b})
 
 
 def test_gradcheck_attention():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from moeformer import ConfigError, ParameterError, TrainingDiverged
+from moeformer import tensor as T
+from moeformer.config import encoder_from_flat, parse_kv_file
 from moeformer.moe import MoELayer
-from moeformer.synth import SyntheticTaskSpec
+from moeformer.synth import SyntheticTaskSpec, task_from_flat
 from moeformer.tensor import Tensor
 from moeformer.training import (
     Adam,
@@ -17,11 +19,12 @@ from moeformer.training import (
     clip_gradients,
     metrics_line,
     train,
+    train_from_flat,
     write_metrics,
 )
 
 import oracles
-from geometry import desk_encoder
+from geometry import CONFIGS, desk_encoder
 
 
 def micro_encoder(**overrides):
@@ -105,6 +108,36 @@ def test_two_expert_routing_equals_dense_mixture_training(monkeypatch):
         m.setattr(MoELayer, "forward", oracles.dense_moe_forward)
         dense_losses = run()
     for a, b in zip(sparse_losses, dense_losses):
+        assert abs(a - b) < 1e-5
+
+
+def test_flat_matmul_training_matches_batched_oracle(monkeypatch):
+    # 40 float32 steps of configs/desk/quick.cfg, once on the flat matmul and
+    # once on the per-sequence products of oracles.batched_matmul. Only the
+    # gradients' rounding differs (one GEMM sums the rows in another order),
+    # and the weights carry it from step to step: the largest per-step loss
+    # gap is 3.6e-7. 1e-5 leaves a margin of about 30x; a matmul backward
+    # that drops one frame's gradient moves the losses by 0.06
+    raw = parse_kv_file(CONFIGS / "desk" / "quick.cfg")
+    enc, task = encoder_from_flat(raw), task_from_flat(raw)
+    cfg = replace(train_from_flat(raw), steps=40)
+
+    def run():
+        _, metrics = train(enc, task, cfg)
+        return [m["loss"] for m in metrics]
+
+    flat_losses = run()
+    calls = []
+
+    def batched(a, b):
+        calls.append(a.shape)
+        return oracles.batched_matmul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "matmul", batched)
+        batched_losses = run()
+    assert calls and len(flat_losses) == len(batched_losses) == 40
+    for a, b in zip(flat_losses, batched_losses):
         assert abs(a - b) < 1e-5
 
 
