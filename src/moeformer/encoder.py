@@ -77,7 +77,10 @@ def spec_augment(features: Array, rng: np.random.Generator,
 
 
 def attention_window_mask(num_frames: int, left: int, right: int) -> Array:
-    rows, cols = np.indices((num_frames, num_frames))
+    """(T, T) booleans, True where query frame i may attend key frame j:
+    ``i - left <= j <= i + right``."""
+    frames = np.arange(num_frames)
+    rows, cols = frames[:, None], frames[None, :]
     return (cols >= rows - left) & (cols <= rows + right)
 
 
@@ -145,7 +148,7 @@ class FFNBlock:
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln(x)
         h = T.matmul(T.swish(T.matmul(h, self.w1) + self.b1), self.w2) + self.b2
-        return x + h * 0.5
+        return T.add_scaled(x, h, 0.5)
 
 
 class MoEBlock:
@@ -162,7 +165,7 @@ class MoEBlock:
         y, decision = self.moe.forward(T.reshape(h, (b * t, d)))
         y = T.reshape(y, (b, t, d))
         if self.residual_scale != 1.0:
-            y = y * self.residual_scale
+            return T.add_scaled(x, y, self.residual_scale), decision
         return x + y, decision
 
 
@@ -174,18 +177,9 @@ class AttentionBlock:
         self.heads = heads
 
     def __call__(self, x: Tensor, mask: Array) -> Tensor:
-        b, t, d = x.shape
-        h = self.heads
-        dh = d // h
-
-        def split(z):
-            return T.transpose(T.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
-
         hidden = self.ln(x)
-        out = T.masked_attention(split(self.q(hidden)), split(self.k(hidden)),
-                                 split(self.v(hidden)), mask)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-        return x + self.o(out)
+        q, k, v = (T.split_heads(proj(hidden), self.heads) for proj in (self.q, self.k, self.v))
+        return x + self.o(T.merge_heads(T.masked_attention(q, k, v, mask)))
 
 
 class ConvBlock:
@@ -200,9 +194,7 @@ class ConvBlock:
         self.pw2 = pw2
 
     def __call__(self, x: Tensor) -> Tensor:
-        d = x.shape[-1]
-        h = self.pw1(self.ln(x))
-        gated = T.slice_axis(h, -1, 0, d) * T.sigmoid(T.slice_axis(h, -1, d, 2 * d))
+        gated = T.glu(self.pw1(self.ln(x)))
         h = T.causal_depthwise_conv(gated, self.dw_w, self.dw_b)
         h = T.swish(self.mid_ln(h))
         return x + self.pw2(h)

@@ -78,6 +78,11 @@ class TaskGenerators:
         offsets = rng.standard_normal((spec.num_languages, d))
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         self.language_offsets = spec.language_offset_scale * offsets
+        # (languages, tokens, d) means and (languages, tokens) labels
+        shape = (spec.num_languages, spec.tokens_per_language)
+        grid = list(np.ndindex(shape))
+        self.means = np.stack([self.token_mean(*lt) for lt in grid]).reshape(shape + (d,))
+        self.labels = np.array([spec.label_of(*lt) for lt in grid], np.int64).reshape(shape)
 
     def token_mean(self, language: int, token: int) -> np.ndarray:
         if token < self.spec.shared_tokens:
@@ -105,7 +110,8 @@ def sample_sequence(spec: SyntheticTaskSpec, rng: np.random.Generator,
     """One sequence: (features [T, d], labels [T], language id).
 
     The language is uniform; tokens are uniform over the language's
-    vocabulary; each token spans ``frames_per_token`` raw frames.
+    vocabulary; each token spans ``frames_per_token`` raw frames. The noise
+    of the whole sequence is one draw, in frame order.
     """
     gen = generators_for(spec)
     language = int(rng.integers(spec.num_languages))
@@ -113,14 +119,10 @@ def sample_sequence(spec: SyntheticTaskSpec, rng: np.random.Generator,
         num_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
     tokens = rng.integers(spec.tokens_per_language, size=num_tokens)
     fpt = spec.frames_per_token
-    d = spec.feature_dim
-    features = np.empty((num_tokens * fpt, d), dtype=np.float32)
-    labels = np.empty(num_tokens * fpt, dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        mean = gen.token_mean(language, int(tok))
-        block = mean + spec.noise_scale * rng.standard_normal((fpt, d))
-        features[i * fpt : (i + 1) * fpt] = block.astype(np.float32)
-        labels[i * fpt : (i + 1) * fpt] = spec.label_of(language, int(tok))
+    noise = rng.standard_normal((num_tokens * fpt, spec.feature_dim))
+    means = np.repeat(gen.means[language, tokens], fpt, axis=0)
+    features = (means + spec.noise_scale * noise).astype(np.float32)
+    labels = np.repeat(gen.labels[language, tokens], fpt)
     return features, labels, language
 
 

@@ -84,7 +84,8 @@ def no_grad():
 class Tensor:
     """A dense array plus the graph links needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_slice")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_slice",
+                 "grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray):
@@ -101,6 +102,9 @@ class Tensor:
         # (buffer, index, axis, span) while ``grad`` is a buffer that slice
         # backward rules of this backward pass own (see ``_accum_slice``)
         self._grad_slice: tuple | None = None
+        # where an optimizer keeps this leaf's gradient (``training.Adam``
+        # sets it); see ``_grad_out``
+        self.grad_slot: Array | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -208,6 +212,17 @@ def _accum(t: Tensor, g: Array) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _grad_out(t: Tensor, dtype) -> Array | None:
+    """The buffer a leaf's first gradient contribution of a backward pass
+    may be written into with ``out=``: its ``grad_slot``, when ``t`` has no
+    gradient yet and the dtypes agree. Otherwise None, and the contribution
+    goes through ``_accum`` as a fresh array."""
+    slot = t.grad_slot
+    if slot is not None and t.grad is None and slot.dtype == dtype:
+        return slot
+    return None
+
+
 def _accum_slice(t: Tensor, axis: int, index: tuple, g: Array) -> None:
     """Accumulate ``g``, the gradient of ``t[index]`` (a basic slice along
     ``axis``), into ``t.grad`` with the result, bit for bit, of adding a
@@ -313,6 +328,21 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), backward)
 
 
+def add_scaled(x: Tensor, h: Tensor, c: float) -> Tensor:
+    """``x + h * c`` for same-shape operands, as one node (a scaled residual)."""
+    if x.shape != h.shape:
+        raise ParameterError(f"add_scaled: shapes differ, {x.shape} and {h.shape}")
+    data = np.multiply(h.data, c)
+    np.add(x.data, data, out=data)
+
+    def backward(g: Array) -> None:
+        _accum(x, g)
+        if h.requires_grad:
+            _accum(h, g * c)
+
+    return _make(data, (x, h), backward)
+
+
 def _rows_times(rows: Array, w: Array) -> Array:
     """``rows @ w`` for a (M, k) ``rows`` and a (k, n) ``w``, as one GEMM.
 
@@ -378,7 +408,9 @@ def _flat_matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accum(a, np.matmul(g2, b.data.T).reshape(a.shape))
         if b.requires_grad:
-            _accum(b, np.matmul(a.data.reshape(-1, k).T, g2))
+            a2 = a.data.reshape(-1, k)
+            out = _grad_out(b, np.result_type(a2, g2))
+            _accum(b, np.matmul(a2.T, g2, out=out))
 
     return _make(data, (a, b), backward)
 
@@ -428,6 +460,31 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(B, T, d) -> (B, heads, T, d // heads): each head's channels as one
+    axis, a view of ``x``; one node for a reshape and a transpose."""
+    b, t, d = x.shape
+    if heads < 1 or d % heads:
+        raise ParameterError(f"split_heads: width {d} does not split into {heads} heads")
+    data = x.data.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def backward(g: Array) -> None:
+        _accum(x, g.transpose(0, 2, 1, 3).reshape(x.shape))
+
+    return _make(data, (x,), backward)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, heads, T, dh) -> (B, T, heads * dh), the inverse of ``split_heads``."""
+    b, h, t, dh = x.shape
+    data = x.data.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+    def backward(g: Array) -> None:
+        _accum(x, g.reshape(b, t, h, dh).transpose(0, 2, 1, 3))
+
+    return _make(data, (x,), backward)
+
+
 def slice_axis(x: Tensor, axis: int, start=None, stop=None, step=None) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ParameterError(f"slice_axis: axis {axis} invalid for shape {x.shape}")
@@ -468,10 +525,14 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def _sigmoid_values(x: Array) -> Array:
+    """``1.0 / (1.0 + np.exp(-x))`` in one fresh buffer."""
     # exp may overflow to inf for hugely negative inputs (diverged training);
     # the result still limits correctly to 0, so silence the warning
+    s = np.negative(x)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    np.add(s, 1.0, out=s)
+    return np.true_divide(1.0, s, out=s)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -488,7 +549,39 @@ def swish(x: Tensor) -> Tensor:
     data = x.data * s
 
     def backward(g: Array) -> None:
-        _accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
+        # g * (s * (1.0 + x * (1.0 - s))), one buffer
+        gx = np.subtract(1.0, s)
+        np.multiply(x.data, gx, out=gx)
+        np.add(gx, 1.0, out=gx)
+        np.multiply(s, gx, out=gx)
+        _accum(x, np.multiply(g, gx, out=gx))
+
+    return _make(data, (x,), backward)
+
+
+def glu(x: Tensor) -> Tensor:
+    """Gated linear unit over the last axis: ``a * sigmoid(b)`` for the two
+    halves ``a``, ``b`` of ``x``, as one node. Equal, bit for bit, to two
+    ``slice_axis`` nodes, a ``sigmoid`` and a ``mul``; the input gradient
+    adds both halves into zeros as the slices' backward did (-0.0 becomes
+    +0.0)."""
+    if x.ndim < 1 or x.shape[-1] % 2:
+        raise ParameterError(f"glu: last axis must have even length, got {x.shape}")
+    d = x.shape[-1] // 2
+    a, b = x.data[..., :d], x.data[..., d:]
+    s = _sigmoid_values(b)
+    data = a * s
+
+    def backward(g: Array) -> None:
+        gx = np.empty_like(x.data)
+        ga, gb = gx[..., :d], gx[..., d:]
+        np.multiply(g, s, out=ga)
+        # ((g * a) * s) * (1.0 - s)
+        np.multiply(g, a, out=gb)
+        np.multiply(gb, s, out=gb)
+        np.multiply(gb, np.subtract(1.0, s), out=gb)
+        gx += 0.0
+        _accum(x, gx)
 
     return _make(data, (x,), backward)
 
@@ -526,30 +619,51 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def _mean_last(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)``: the same sum and one division."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(m, x.shape[-1], out=m)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The forward keeps two full-size buffers (the normalized input and the
+    output) and the backward makes two, with the arithmetic of the plain
+    expression ``(x - mu) / sqrt(var + eps) * gain + bias`` and its
+    textbook gradient, operation for operation.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ParameterError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = np.subtract(x.data, _mean_last(x.data))
+    data = np.multiply(xhat, xhat)  # the squares, until the output overwrites them
+    inv = _mean_last(data)
+    np.add(inv, eps, out=inv)
+    np.sqrt(inv, out=inv)
+    np.true_divide(1.0, inv, out=inv)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(xhat, gain.data, out=data)
+    np.add(data, bias.data, out=data)
 
     def backward(g: Array) -> None:
         if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
+            _accum(bias, np.add.reduce(g.reshape(-1, d), axis=0))
+        t = np.multiply(g, xhat)
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accum(gain, np.add.reduce(t.reshape(-1, d), axis=0))
         if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gx_hat - m1 - xhat * m2))
+            # inv * ((gx_hat - mean(gx_hat)) - xhat * mean(gx_hat * xhat))
+            gx = np.multiply(g, gain.data)
+            m1 = _mean_last(gx)
+            np.multiply(gx, xhat, out=t)
+            m2 = _mean_last(t)
+            np.multiply(xhat, m2, out=t)
+            np.subtract(gx, m1, out=gx)
+            np.subtract(gx, t, out=gx)
+            _accum(x, np.multiply(inv, gx, out=gx))
 
     return _make(data, (x, gain, bias), backward)
 
@@ -629,9 +743,11 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             _accum(bias, g.sum(axis=(0, 1)))
         g2 = g.reshape(-1, cout)
         if weight.requires_grad:
-            gw = np.empty_like(weight.data)
+            gw = _grad_out(weight, np.result_type(xp, g2))
+            if gw is None:
+                gw = np.empty_like(weight.data)
             for j in range(k):
-                gw[j] = np.matmul(taps[j].T, g2)
+                np.matmul(taps[j].T, g2, out=gw[j])
             _accum(weight, gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)

@@ -132,7 +132,11 @@ class Adam:
     Construction copies every parameter into one contiguous buffer and
     rebinds each ``p.data`` to a reshaped view of its slot, so names, shapes
     and values are unchanged; the moments and the gradients live in buffers
-    of the same layout. A step is a few in-place vector passes over
+    of the same layout. Each ``p.grad_slot`` is the parameter's gradient
+    slot: a backward pass writes a weight's first matmul or conv gradient
+    straight into it, and ``_gather`` copies in only the gradients that
+    arrived as other arrays (a bias, a parameter used twice, a gradient
+    set by hand). A step is a few in-place vector passes over
     cache-sized chunks of consecutive parameters that have a gradient, with
     the per-element arithmetic of a per-tensor update. A parameter whose
     ``grad`` is None keeps its values and both moments. Parameter values
@@ -170,6 +174,7 @@ class Adam:
             p.data = view
             self._views.append(view)
             self._grads.append(self.grad[lo:hi].reshape(p.shape))
+            p.grad_slot = self._grads[-1]
         width = max([_CHUNK] + [p.size for p in self.params])
         self._scratch = np.empty((2, width), dtype)
         self._squares = np.empty(width, np.float64)

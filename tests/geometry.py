@@ -4,7 +4,10 @@ The named geometries (the reference family and the desk runs) are defined
 only by the files under ``configs/``, and ``reference_family`` reads them
 from there; ``REFERENCE_SIZES_M`` holds the published sizes they are checked
 against. ``desk_encoder`` is a parametric builder for the small variants
-that unit tests need by the dozen.
+that unit tests need by the dozen, and ``micro_encoder`` / ``micro_task``
+shrink it for the training and evaluation tests. With no arguments they
+equal the shipped files (``desk_encoder``: ``configs/desk/balance.cfg``;
+``micro_*``: ``configs/desk/quick.cfg``), which ``test_config`` checks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from moeformer.config import (
     parse_kv_file,
     split_right_context,
 )
+from moeformer.synth import SyntheticTaskSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,3 +95,23 @@ def desk_encoder(
         moe_selector=moe_selector,
         adapters=adapters,
     )
+
+
+def micro_encoder(**overrides) -> EncoderConfig:
+    """``desk_encoder`` at the widths of ``configs/desk/quick.cfg``."""
+    kwargs = dict(
+        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=24,
+        heads=2, feature_dim=8, ffn_mult=2, num_experts=2,
+    )
+    kwargs.update(overrides)
+    return desk_encoder(**kwargs)
+
+
+def micro_task(**overrides) -> SyntheticTaskSpec:
+    """The task of ``configs/desk/quick.cfg``."""
+    kwargs = dict(
+        num_languages=2, feature_dim=8, tokens_per_language=4, shared_tokens=1,
+        min_tokens=4, max_tokens=6, frames_per_token=4, noise_scale=0.2, seed=0,
+    )
+    kwargs.update(overrides)
+    return SyntheticTaskSpec(**kwargs)

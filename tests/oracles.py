@@ -2,8 +2,9 @@
 
 Everything here is written against raw arrays, deliberately sharing no code
 with the package's graph ops, except ``dense_moe_forward``,
-``per_group_adapters``, ``padded_slice_axis`` and ``batched_matmul``: those
-are built from tensor ops so that a graph using them still backpropagates.
+``per_group_adapters``, ``padded_slice_axis``, ``batched_matmul`` and the
+composite ops (``sigmoid_node`` through ``add_scaled``): those are built
+from tensor ops so that a graph using them still backpropagates.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from moeformer import tensor as T
 from moeformer.moe import route_top2
+from moeformer.synth import generators_for
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -269,3 +271,108 @@ def per_tensor_clip(params, max_norm):
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm
+
+
+# --------------------------------------------------------------------------
+# composite ops: each fused tensor op as the nodes it replaced
+
+
+def sigmoid_node(x):
+    """``tensor.sigmoid`` with its values in three buffers: 1 / (1 + exp(-x))."""
+    with np.errstate(over="ignore"):
+        data = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward(g):
+        T._accum(x, g * data * (1.0 - data))
+
+    return T._make(data, (x,), backward)
+
+
+def swish_node(x):
+    """``tensor.swish`` with a five-temporary backward."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward(g):
+        T._accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
+
+    return T._make(x.data * s, (x,), backward)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """``tensor.layer_norm`` written with ``np.mean`` and one temporary per
+    operation."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    data = xhat * gain.data + bias.data
+    d = x.shape[-1]
+
+    def backward(g):
+        if bias.requires_grad:
+            T._accum(bias, g.reshape(-1, d).sum(axis=0))
+        if gain.requires_grad:
+            T._accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx_hat = g * gain.data
+            m1 = gx_hat.mean(axis=-1, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            T._accum(x, inv * (gx_hat - m1 - xhat * m2))
+
+    return T._make(data, (x, gain, bias), backward)
+
+
+def glu(x):
+    """``tensor.glu`` as two slices, a sigmoid and a product."""
+    d = x.shape[-1] // 2
+    return T.slice_axis(x, -1, 0, d) * sigmoid_node(T.slice_axis(x, -1, d, 2 * d))
+
+
+def split_heads(x, heads):
+    """``tensor.split_heads`` as a reshape and a transpose."""
+    b, t, d = x.shape
+    return T.transpose(T.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
+
+
+def merge_heads(x):
+    """``tensor.merge_heads`` as a transpose and a reshape."""
+    b, h, t, dh = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
+
+
+def add_scaled(x, h, c):
+    """``tensor.add_scaled`` as a scale and an add."""
+    return x + h * c
+
+
+# --------------------------------------------------------------------------
+# synthetic data, one token at a time
+
+
+def sample_sequence(spec, rng, num_tokens=None):
+    """``synth.sample_sequence`` with one mean and one noise draw per token."""
+    gen = generators_for(spec)
+    language = int(rng.integers(spec.num_languages))
+    if num_tokens is None:
+        num_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+    tokens = rng.integers(spec.tokens_per_language, size=num_tokens)
+    fpt = spec.frames_per_token
+    d = spec.feature_dim
+    features = np.empty((num_tokens * fpt, d), dtype=np.float32)
+    labels = np.empty(num_tokens * fpt, dtype=np.int64)
+    for i, tok in enumerate(tokens):
+        mean = gen.token_mean(language, int(tok))
+        block = mean + spec.noise_scale * rng.standard_normal((fpt, d))
+        features[i * fpt : (i + 1) * fpt] = block.astype(np.float32)
+        labels[i * fpt : (i + 1) * fpt] = spec.label_of(language, int(tok))
+    return features, labels, language
+
+
+def generate_batch(spec, rng, batch_size=1):
+    """``synth.generate_batch`` over the per-token ``sample_sequence``."""
+    num_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+    seqs = [sample_sequence(spec, rng, num_tokens) for _ in range(batch_size)]
+    feats, labels, langs = zip(*seqs)
+    return np.stack(feats), np.stack(labels), np.asarray(langs, dtype=np.int64)

@@ -21,7 +21,7 @@ from moeformer.evaluation import BUDGET_TOLERANCE
 from moeformer.synth import SyntheticTaskSpec, task_from_flat
 from moeformer.training import TrainConfig, check_task_fit, train_from_flat
 
-from geometry import desk_encoder, reference_family
+from geometry import desk_encoder, micro_encoder, micro_task, reference_family
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -95,6 +95,18 @@ def test_shipped_desk_config_is_usable(path):
         assert adapter_cfg.adapters is not None and moe_cfg.adapters is None
         budgets = [count_params(cfg).inference_params for cfg in encoders]
         assert abs(budgets[0] - budgets[1]) / budgets[0] <= BUDGET_TOLERANCE
+
+
+def test_test_builders_equal_the_shipped_desk_configs():
+    # the unit tests' builders stand for these files: an edit to a file
+    # that the builders miss fails here
+    desk = REPO / "configs" / "desk"
+    quick = parse_kv_file(desk / "quick.cfg")
+    assert micro_encoder() == encoder_from_flat(quick)
+    assert micro_task() == task_from_flat(quick)
+    assert desk_encoder() == encoder_from_flat(parse_kv_file(desk / "balance.cfg"))
+    compare = parse_kv_file(desk / "compare.cfg")
+    assert desk_encoder() == encoder_from_flat(compare, prefix="moe_encoder.")
 
 
 def test_train_and_task_defaults_live_in_their_dataclasses():

@@ -18,6 +18,7 @@ from moeformer.config import (
 )
 from moeformer.encoder import (
     AdapterBank,
+    attention_window_mask,
     build_encoder,
     frame_stack,
     spec_augment,
@@ -122,6 +123,17 @@ def _first_noncausal_params(model, index=0):
         for name, p in model.parameters()
         if name.startswith(prefix)
     }
+
+
+@pytest.mark.parametrize("frames", [0, 1, 2, 7, 40])
+def test_attention_window_mask_matches_index_grid_oracle(frames):
+    # windows narrower than, equal to and wider than the sequence
+    for left, right in [(0, 0), (3, 0), (0, 2), (16, 2), (frames, frames), (50, 60)]:
+        got = attention_window_mask(frames, left, right)
+        want = oracles.attention_window_mask(frames, left, right)
+        assert got.shape == want.shape == (frames, frames)
+        assert got.dtype == want.dtype == bool
+        np.testing.assert_array_equal(got, want)
 
 
 def test_plain_layer_matches_independent_oracle():

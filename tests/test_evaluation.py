@@ -18,25 +18,7 @@ from moeformer.synth import SyntheticTaskSpec, generators_for
 from moeformer.tensor import Tensor
 from moeformer.training import TrainConfig, TrainedModel, build_model, train
 
-from geometry import desk_encoder
-
-
-def micro_encoder(**overrides):
-    kwargs = dict(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=24,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=2,
-    )
-    kwargs.update(overrides)
-    return desk_encoder(**kwargs)
-
-
-def micro_task(**overrides):
-    kwargs = dict(
-        num_languages=2, feature_dim=8, tokens_per_language=4, shared_tokens=1,
-        min_tokens=4, max_tokens=6, frames_per_token=4, noise_scale=0.2, seed=0,
-    )
-    kwargs.update(overrides)
-    return SyntheticTaskSpec(**kwargs)
+from geometry import desk_encoder, micro_encoder, micro_task
 
 
 # --------------------------------------------------------------------------

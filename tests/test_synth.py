@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from moeformer import ConfigError
+from moeformer.config import parse_kv_file
 from moeformer.synth import (
     SyntheticTaskSpec,
     frame_targets,
     generate_batch,
     sample_sequence,
+    task_from_flat,
 )
+
+import oracles
+from geometry import CONFIGS
 
 
 def test_zero_noise_repeats_token_vectors():
@@ -20,6 +25,30 @@ def test_zero_noise_repeats_token_vectors():
         np.testing.assert_array_equal(block[0], block[1])
         np.testing.assert_array_equal(block[0], block[2])
         assert len(set(labels[i : i + 3])) == 1
+
+
+@pytest.mark.parametrize("batch", [1, 12, 24])
+def test_batches_match_the_per_token_oracle_byte_for_byte(batch):
+    # one noise draw per sequence: features, labels, language ids and the
+    # generator state afterwards equal a draw per token
+    spec = task_from_flat(parse_kv_file(CONFIGS / "desk" / "balance.cfg"))
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(3):
+        got, want = generate_batch(spec, rng, batch), oracles.generate_batch(spec, ref, batch)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_long_utterance_matches_the_per_token_oracle_byte_for_byte():
+    # the 500-token utterances of the streaming benchmark
+    spec = task_from_flat(parse_kv_file(CONFIGS / "desk" / "balance.cfg"))
+    got = sample_sequence(spec, np.random.default_rng(22), num_tokens=500)
+    want = oracles.sample_sequence(spec, np.random.default_rng(22), num_tokens=500)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes() and got[1].dtype == want[1].dtype
+    assert got[2] == want[2]
 
 
 def test_fixed_seed_bit_identical_batches():

@@ -6,20 +6,24 @@ import pytest
 from moeformer import ParameterError
 from moeformer.tensor import (
     Tensor,
+    add_scaled,
     causal_conv,
     causal_depthwise_conv,
     concat,
     count_macs,
+    glu,
     layer_norm,
     log_softmax,
     masked_attention,
     matmul,
     mean,
+    merge_heads,
     no_grad,
     reshape,
     sigmoid,
     slice_axis,
     softmax,
+    split_heads,
     sum_,
     swish,
     take_entries,
@@ -352,6 +356,89 @@ def test_slice_axis_backward_matches_padded_oracle(dtype):
         want = grad_of(oracles.padded_slice_axis)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), trial
+
+
+# --------------------------------------------------------------------------
+# fused pointwise ops against the nodes they replace
+
+# name -> (fused op, composite oracle, input shapes); every input is a leaf
+FUSED = {
+    "layer_norm": (layer_norm, oracles.layer_norm, [(2, 5, 12), (12,), (12,)]),
+    "glu": (glu, oracles.glu, [(2, 5, 12)]),
+    "swish": (swish, oracles.swish_node, [(3, 7)]),
+    "split_heads": (lambda x: split_heads(x, 3), lambda x: oracles.split_heads(x, 3),
+                    [(2, 5, 12)]),
+    "merge_heads": (merge_heads, oracles.merge_heads, [(2, 3, 5, 4)]),
+    "add_scaled": (lambda x, h: add_scaled(x, h, 0.5), lambda x, h: oracles.add_scaled(x, h, 0.5),
+                   [(2, 5, 6), (2, 5, 6)]),
+}
+
+
+def _with_signed_zeros(rng, shape, dtype):
+    """Normal draws with about a third of the entries +0.0 or -0.0."""
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    return np.where(rng.random(shape) < 0.5, -a, a).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_composite_oracle_bit_for_bit(name, dtype):
+    # forward and every input gradient, sign of zero included, with -0.0 in
+    # the inputs and in the upstream gradient; the first input is used once
+    # more as a whole (trial 1) so that its gradient sums two contributions
+    op, oracle, shapes = FUSED[name]
+    rng = np.random.default_rng(60)
+    for trial in range(3):
+        inputs = [_with_signed_zeros(rng, shape, dtype) for shape in shapes]
+        upstream = None
+        results = []
+        for fn in (op, oracle):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+            out = fn(*leaves)
+            if upstream is None:
+                upstream = _with_signed_zeros(rng, out.shape, dtype)
+            loss = sum_(out * Tensor(upstream))
+            if trial == 1:
+                loss = loss + sum_(leaves[0] * Tensor(inputs[0]))
+            loss.backward()
+            results.append([out.data] + [p.grad for p in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, trial)
+
+
+def test_glu_gradient_turns_negative_zero_positive_as_padded_slices_do():
+    # a zero upstream gradient of sign -0.0 reaches both halves as +0.0
+    x = Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]), requires_grad=True)
+    sum_(glu(x) * Tensor(np.array([[-0.0, -0.0]]))).backward()
+    assert not np.signbit(x.grad).any()
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_gradcheck_fused_op(name):
+    op, _, shapes = FUSED[name]
+    rng = np.random.default_rng(61)
+    leaves = [_param(rng, *shape) for shape in shapes]
+    probe = None
+
+    def loss_fn():
+        nonlocal probe
+        out = op(*leaves)
+        if probe is None:
+            probe = Tensor(rng.standard_normal(out.shape))
+        return sum_(out * probe)
+
+    assert_grads_close(loss_fn, leaves)
+
+
+def test_fused_shape_ops_refuse_bad_shapes():
+    with pytest.raises(ParameterError, match="even"):
+        glu(Tensor(np.zeros((2, 5))))
+    with pytest.raises(ParameterError, match="heads"):
+        split_heads(Tensor(np.zeros((1, 2, 10))), 3)
+    with pytest.raises(ParameterError, match="shapes differ"):
+        add_scaled(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), 0.5)
 
 
 def test_take_rows_backward_matches_add_at():

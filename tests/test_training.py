@@ -9,8 +9,8 @@ import pytest
 from moeformer import ConfigError, ParameterError, TrainingDiverged
 from moeformer import tensor as T
 from moeformer.config import encoder_from_flat, parse_kv_file
-from moeformer.moe import MoELayer
-from moeformer.synth import SyntheticTaskSpec, task_from_flat
+from moeformer.moe import ExpertFFN, MoELayer
+from moeformer.synth import generate_batch, task_from_flat
 from moeformer.tensor import Tensor
 from moeformer.training import (
     Adam,
@@ -24,25 +24,7 @@ from moeformer.training import (
 )
 
 import oracles
-from geometry import CONFIGS, desk_encoder
-
-
-def micro_encoder(**overrides):
-    kwargs = dict(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=24,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=2,
-    )
-    kwargs.update(overrides)
-    return desk_encoder(**kwargs)
-
-
-def micro_task(**overrides):
-    kwargs = dict(
-        num_languages=2, feature_dim=8, tokens_per_language=4, shared_tokens=1,
-        min_tokens=4, max_tokens=6, frames_per_token=4, noise_scale=0.2, seed=0,
-    )
-    kwargs.update(overrides)
-    return SyntheticTaskSpec(**kwargs)
+from geometry import CONFIGS, desk_encoder, micro_encoder, micro_task
 
 
 def test_metrics_deterministic_across_runs(tmp_path):
@@ -215,6 +197,82 @@ def test_flat_adam_matches_per_tensor_oracle(dtype, max_norm):
             assert p.data.tobytes() == q.data.tobytes(), (step, i)
             assert opt.m[lo:hi].tobytes() == oracle.m[i].tobytes(), (step, i)
             assert opt.v[lo:hi].tobytes() == oracle.v[i].tobytes(), (step, i)
+
+
+def test_weight_gradients_are_written_into_their_arena_slots():
+    # every matmul and conv weight's gradient is its slot itself, so Adam
+    # copies none of them; a bias or gain arrives as its own array
+    model = build_model(micro_encoder(), micro_task().num_labels, seed=0)
+    opt = Adam(model.parameters(), lr=1e-3)
+    feats, _, _ = generate_batch(micro_task(), np.random.default_rng(1), 2)
+    logits, _ = model.logits(feats)
+    T.sum_(logits * logits).backward()
+    weights = [i for i, (name, p) in enumerate(zip(opt.names, opt.params))
+               if p.ndim >= 2 and not name.endswith("dw.w") and p.grad is not None]
+    assert len(weights) >= 30
+    for i in weights:
+        assert opt.params[i].grad is opt._grads[i], opt.names[i]
+    assert all(p.grad is not opt._grads[i] for i, p in enumerate(opt.params) if p.ndim == 1)
+
+
+@pytest.mark.parametrize("case", ["once", "shared_weight", "second_backward"])
+def test_gradient_slots_match_the_copy_path(case):
+    # a weight used in two matmuls, a second backward without zero_grad and
+    # experts that receive no rows: gradients, clipping and the step equal,
+    # bit for bit, those of gradients that all arrive as fresh arrays and
+    # are copied into the arena
+    results = []
+    for slots in (True, False):
+        rng = np.random.default_rng(8)
+
+        def leaf(*shape):
+            return Tensor((0.3 * rng.standard_normal(shape)).astype(np.float32),
+                          requires_grad=True)
+
+        w = leaf(6, 6)
+        gate = Tensor(np.zeros((6, 4), np.float32), requires_grad=True)  # ties: experts 0, 1
+        experts = [ExpertFFN(leaf(6, 8), leaf(8), leaf(8, 6), leaf(6)) for _ in range(4)]
+        named = [("w", w), ("gate", gate)] + [
+            (f"e{i}.{k}", getattr(e, k))
+            for i, e in enumerate(experts) for k in ("w1", "b1", "w2", "b2")]
+        opt = Adam(named, lr=1e-2)
+        if not slots:
+            for p in opt.params:
+                p.grad_slot = None
+        xs = [Tensor(rng.standard_normal((3, 5, 6)).astype(np.float32)) for _ in range(2)]
+
+        def loss(x):
+            h = T.matmul(x, w)
+            if case == "shared_weight":
+                h = T.matmul(T.swish(h), w)
+            y, _ = MoELayer(gate, experts).forward(T.reshape(h, (15, 6)))
+            return T.sum_(y * y)
+
+        loss(xs[0]).backward()
+        if case == "second_backward":
+            loss(xs[1]).backward()
+        assert (w.grad is opt._grads[0]) == (slots and case == "once")
+        grads = [None if p.grad is None else p.grad.copy() for p in opt.params]
+        clip_gradients(opt, 0.5)
+        opt.step()
+        results.append((grads, opt.data.copy()))
+    (grads, data), (want_grads, want_data) = results
+    for name, got, want in zip(opt.names, grads, want_grads):
+        assert (got is None) == (want is None) == name.startswith(("e2.", "e3.")), name
+        assert got is None or got.tobytes() == want.tobytes(), name
+    assert data.tobytes() == want_data.tobytes()
+
+
+def test_training_with_gradient_slots_matches_the_copy_path(monkeypatch):
+    # five micro steps (matmuls, input convs, experts) with and without the
+    # slot writes: the same metric lines and weights, bit for bit
+    cfg = TrainConfig(steps=5, batch_size=3, seed=4, clip_norm=0.5)
+    model, metrics = train(micro_encoder(), micro_task(), cfg)
+    monkeypatch.setattr(T, "_grad_out", lambda t, dtype: None)
+    twin, twin_metrics = train(micro_encoder(), micro_task(), cfg)
+    assert [metrics_line(m) for m in metrics] == [metrics_line(m) for m in twin_metrics]
+    for (name, p), (_, q) in zip(model.parameters(), twin.parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
 
 
 def test_rebound_parameter_data_is_rejected():
