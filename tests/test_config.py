@@ -97,7 +97,7 @@ def test_shipped_desk_config_is_usable(path):
         assert abs(budgets[0] - budgets[1]) / budgets[0] <= BUDGET_TOLERANCE
 
 
-def test_test_builders_equal_the_shipped_desk_configs():
+def test_builders_equal_the_shipped_desk_configs():
     # the unit tests' builders stand for these files: an edit to a file
     # that the builders miss fails here
     desk = REPO / "configs" / "desk"
