@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 from .config import ConformerLayerConfig, EncoderConfig, plan
 
+# published total of the dense baseline (configs/reference/b1.cfg), the
+# calibration point of ``fitted_remainder``
+BASELINE_PUBLISHED = 180_000_000
+
 
 @dataclass
 class ComponentCount:
@@ -133,14 +137,16 @@ def _layer_macs(cfg: ConformerLayerConfig, frames: int, pairs: int, dense: bool)
 def _encoder_macs(config: EncoderConfig, dense: bool, frames, pairs,
                   causal_only: bool = False) -> int:
     """Input block plus every planned stage: ``frames(rate)`` is the frame
-    count at a stage's rate, ``pairs(frames, layer)`` its attention pairs."""
+    count at ``rate`` frames per output frame (2 for the input block, ahead
+    of the time stacking, and 1 for every stage), ``pairs(frames, layer)``
+    a stage's attention pairs."""
     config.validate()
     fe, ib = config.frontend, config.input_block
     macs = frames(2) * (fe.stacked_dim * ib.out_dim + ib.num_convs * ib.kernel * ib.out_dim**2)
+    n = frames(1)
     for stage in plan(config):
         if causal_only and not stage.layer.causal:
             break
-        n = frames(stage.rate)
         if stage.proj is not None:
             macs += n * stage.proj[0] * stage.proj[1]
         macs += _layer_macs(stage.layer, n, pairs(n, stage.layer), dense)
@@ -153,9 +159,9 @@ def flops_per_frame(config: EncoderConfig) -> tuple[int, int]:
     """Steady-state multiply-accumulates per final output frame.
 
     Returns (sparse, dense_equivalent): sparse evaluates 2 experts per routed
-    layer, dense evaluates all N. The input block and layers ahead of the
-    time-stacking step run at twice the output frame rate and are weighted
-    accordingly; attention scores a full window per frame.
+    layer, dense evaluates all N. The input block runs ahead of the time
+    stacking, at twice the output frame rate, and is weighted accordingly;
+    attention scores a full window per frame.
     """
     return tuple(
         _encoder_macs(config, dense, frames=lambda rate: rate,

@@ -11,7 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .accounting import count_params, fitted_remainder, report_kv, report_lines
+from .accounting import (
+    BASELINE_PUBLISHED,
+    count_params,
+    fitted_remainder,
+    report_kv,
+    report_lines,
+)
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .config import encoder_from_flat, encoder_to_flat, parse_kv_file, parse_kv_text
 from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverged
@@ -77,7 +83,12 @@ def _restore_model(args):
     task = task_from_flat(raw)
     tensors, config_text, step = load_checkpoint(args.checkpoint)
     echo = parse_kv_text(config_text, source=f"{args.checkpoint} config echo")
-    encoder_cfg = encoder_from_flat(echo or raw)
+    try:
+        encoder_cfg = encoder_from_flat(echo or raw)
+    except ConfigError as exc:
+        if not echo:
+            raise
+        raise ConfigError(f"{args.checkpoint} config echo: {exc}") from exc
     if echo and any(k.startswith("encoder.") for k in raw):
         # both sides in the echo's canonical spelling, key for key
         given = encoder_to_flat(encoder_from_flat(raw)).splitlines()
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--baseline-config", default=None,
                          help="dense baseline for remainder calibration")
-    p_count.add_argument("--baseline-total", type=int, default=180_000_000,
+    p_count.add_argument("--baseline-total", type=int, default=BASELINE_PUBLISHED,
                          help="published total of the baseline, parameters")
     common(sub.add_parser("route-stats", help="per-expert routing record stream"),
            checkpoint=True)

@@ -1,12 +1,11 @@
 """Architecture and experiment configuration.
 
 EncoderConfig describes the whole encoder geometry: a frame-stacking
-frontend, a causal stack (input block, optional mid-stack time stacking,
-Conformer layers), a non-causal cascade with bounded right context, expert
+frontend, an input block followed by the 2x time stacking, a causal stack of
+Conformer layers, a non-causal cascade with bounded right context, expert
 placement, and optional per-group residual adapters. ``plan`` walks it once
-into ordered stage records (widths, projections, frame rate, time stacking)
-that model construction, the forward pass and parameter/MAC accounting all
-consume.
+into ordered stage records (stack, width, projection) that model
+construction, the forward pass and parameter/MAC accounting all consume.
 
 Configs round-trip through flat ``key=value`` text files. ``ENCODER_KEYS``
 is the encoder's key table (type, default, description), which the reader,
@@ -16,7 +15,6 @@ other section from its dataclass fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -38,7 +36,6 @@ class ConformerLayerConfig:
     moe_placement: str = "none"
     num_experts: int = 0
     expert_mult: int = 4
-    moe_residual_scale: float = 1.0
 
     def validate(self) -> None:
         if self.heads < 1:
@@ -57,8 +54,6 @@ class ConformerLayerConfig:
             raise ConfigError(f"moe_placement must be one of {MOE_PLACEMENTS}")
         if self.moe_placement != "none" and self.num_experts < 2:
             raise ConfigError("expert routing needs num_experts >= 2")
-        if not math.isfinite(self.moe_residual_scale):
-            raise ConfigError(f"moe_residual_scale must be finite, got {self.moe_residual_scale}")
 
     @property
     def moe_sites(self) -> tuple[bool, bool]:
@@ -109,7 +104,6 @@ class EncoderConfig:
     input_block: InputBlockConfig
     causal: list[ConformerLayerConfig]
     non_causal: list[ConformerLayerConfig]
-    stack_after: int = 0  # causal conformer layers evaluated before time stacking
     moe_selector: str = "all"
     adapters: AdapterConfig | None = None
 
@@ -128,10 +122,6 @@ class EncoderConfig:
             layer.validate()
             if layer.causal:
                 raise ConfigError("non-causal stack layers must have causal=False")
-        if not 0 <= self.stack_after <= len(self.causal):
-            raise ConfigError(
-                f"stack_after {self.stack_after} out of range for {len(self.causal)} causal layers"
-            )
         if self.moe_selector not in MOE_SELECTORS:
             raise ConfigError(f"moe_selector must be one of {MOE_SELECTORS}")
         if self.adapters is not None:
@@ -148,8 +138,7 @@ class EncoderConfig:
 
     @property
     def output_dim(self) -> int:
-        last = plan(self)[-1]
-        return last.layer.model_dim * (2 if last.time_stack == "after" else 1)
+        return plan(self)[-1].layer.model_dim
 
 
 class Stage(NamedTuple):
@@ -159,24 +148,22 @@ class Stage(NamedTuple):
     index: int                     # position within its stack
     layer: ConformerLayerConfig    # MoE selector already applied
     proj: tuple[int, int] | None   # width-matching projection ahead of the layer
-    rate: int                      # frames per output frame: 2 before time stacking, 1 after
-    time_stack: str | None = None  # "before"/"after": the 2x time stacking runs here
 
 
 def plan(config: EncoderConfig) -> list[Stage]:
     """The encoder geometry, walked once for model construction, the
     forward pass and the accounting.
 
-    The input block feeds the causal stack, then the non-causal cascade.
-    The 2x time stacking (double width, half rate) runs ahead of the layer
-    at position ``stack_after`` of that sequence; when every layer comes
-    before it (no non-causal layers), it runs after the last one. Non-causal
-    layers keep their expert placement when the selector picks them (``all``
-    every layer, ``odd`` odd-indexed layers, ``first_only`` layer 0) and
-    fall back to a plain feed-forward pair otherwise.
+    The input block, then the 2x time stacking (double width, half rate),
+    feed the causal stack, then the non-causal cascade, so every layer runs
+    at the output frame rate and the first one takes ``2 * input_dim``
+    features. Non-causal layers keep their expert placement when the
+    selector picks them (``all`` every layer, ``odd`` odd-indexed layers,
+    ``first_only`` layer 0) and fall back to a plain feed-forward pair
+    otherwise.
     """
     stages = []
-    width = config.input_block.out_dim
+    width = 2 * config.input_block.out_dim
     for stack, layers in (("causal", config.causal), ("noncausal", config.non_causal)):
         for i, layer in enumerate(layers):
             if stack == "noncausal" and layer.moe_placement != "none" and not (
@@ -185,15 +172,9 @@ def plan(config: EncoderConfig) -> list[Stage]:
                 or (config.moe_selector == "first_only" and i == 0)
             ):
                 layer = replace(layer, moe_placement="none", num_experts=0)
-            n = len(stages)
-            if n == config.stack_after:
-                width *= 2
             proj = (width, layer.model_dim) if width != layer.model_dim else None
             width = layer.model_dim
-            stages.append(Stage(stack, i, layer, proj, 2 if n < config.stack_after else 1,
-                                "before" if n == config.stack_after else None))
-    if config.stack_after == len(stages):
-        stages[-1] = stages[-1]._replace(time_stack="after")
+            stages.append(Stage(stack, i, layer, proj))
     return stages
 
 
@@ -205,19 +186,18 @@ REQUIRED = MISSING  # a key table default: the key must be given
 
 class Key(NamedTuple):  # one row of a key table
     type: str        # "int", "float", "str", "bool" or "list[int]"
-    default: object  # REQUIRED, None (optional, no value) or the value
+    default: object  # REQUIRED or the value
     doc: str = ""
 
 
-# type -> (parse, write, what a value must look like); floats are written
-# with repr so that the text parses back to the same value
+# type -> (parse, what a value must look like)
 _TYPES = {
-    "int": (int, str, "integer"),
-    "float": (float, lambda x: repr(float(x)), "number"),
-    "str": (str, str, "text"),
-    "bool": (lambda text: int(text) != 0, lambda b: str(int(b)), "integer"),
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "str": (str, "text"),
+    "bool": (lambda text: int(text) != 0, "integer"),
     "list[int]": (lambda text: [int(p) for p in text.split(",") if p.strip()],
-                  lambda xs: ",".join(map(str, xs)), "comma list of ints"),
+                  "comma list of ints"),
 }
 
 # The encoder schema, in the order ``encoder_to_flat`` writes it. The
@@ -229,7 +209,6 @@ ENCODER_KEYS = {
     "input_dim": Key("int", REQUIRED, "input block projection width"),
     "input_convs": Key("int", 3, "number of causal conv layers in the input block"),
     "input_kernel": Key("int", 3, "input block conv kernel"),
-    "stack_after": Key("int", 0, "causal layers run before the time-stacking step"),
     "ffn_mult": Key("int", 4, "feed-forward expansion"),
     "causal_dims": Key("list[int]", REQUIRED, "comma list of causal layer widths"),
     "causal_heads": Key("int", 4, "attention heads (causal stack)"),
@@ -239,14 +218,12 @@ ENCODER_KEYS = {
     "noncausal_heads": Key("int", 4, "attention heads (non-causal stack)"),
     "noncausal_kernel": Key("int", 7, "depthwise conv kernel (non-causal stack)"),
     "noncausal_left_context": Key("int", 16, "attention left window, frames"),
-    "right_contexts": Key("list[int]", None, "comma list of future frames per non-causal layer"),
-    "right_context_total": Key("int", None, "else: future frames split as evenly as possible "
-                               "per layer (0 if unset)"),
+    "right_contexts": Key("list[int]", (), "comma list of future frames per non-causal layer "
+                          "(all 0 if empty)"),
     "moe_placement": Key("str", "none", "one of " + ", ".join(MOE_PLACEMENTS)),
     "moe_selector": Key("str", "all", "one of " + ", ".join(MOE_SELECTORS)),
     "num_experts": Key("int", 0, "experts per routed layer"),
     "expert_mult": Key("int", 4, "expert feed-forward expansion"),
-    "moe_residual_scale": Key("float", 1.0, "residual scale around the routed block"),
     "adapter_dim": Key("int", 0, "residual adapter bottleneck (0 disables)"),
     "adapter_groups": Key("int", 0, "adapter groups (one per language)"),
 }
@@ -289,7 +266,7 @@ def read_flat(raw: dict[str, str], prefix: str, keys: dict[str, Key]) -> dict:
                 raise ConfigError(f"missing required config key {prefix + name}")
             values[name] = key.default
             continue
-        parse, _, what = _TYPES[key.type]
+        parse, what = _TYPES[key.type]
         try:
             values[name] = parse(text)
         except ValueError as exc:
@@ -314,24 +291,11 @@ def dataclass_from_flat(cls, raw: dict[str, str], prefix: str,
     return obj
 
 
-def split_right_context(total: int, layers: int) -> list[int]:
-    """Distribute a total future-frame budget as evenly as possible."""
-    if layers == 0:
-        return []
-    base, extra = divmod(total, layers)
-    return [base + (1 if i < extra else 0) for i in range(layers)]
-
-
 def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderConfig:
     v = read_flat(raw, prefix, ENCODER_KEYS)
     nc_dims = v["noncausal_dims"]
-    rights = v["right_contexts"]
-    if rights is None:
-        rights = split_right_context(v["right_context_total"] or 0, len(nc_dims))
-    elif v["right_context_total"] is not None:
-        raise ConfigError(
-            f"give one of {prefix}right_contexts and {prefix}right_context_total, not both")
-    elif len(rights) != len(nc_dims):
+    rights = v["right_contexts"] or [0] * len(nc_dims)
+    if len(rights) != len(nc_dims):
         raise ConfigError("right_contexts length must match noncausal_dims")
     adapters = None
     if v["adapter_dim"] < 0:
@@ -354,10 +318,9 @@ def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderC
         non_causal=[
             layer("noncausal", d, right_context=rc, moe_placement=placement,
                   num_experts=v["num_experts"] if placement != "none" else 0,
-                  expert_mult=v["expert_mult"], moe_residual_scale=v["moe_residual_scale"])
+                  expert_mult=v["expert_mult"])
             for d, rc in zip(nc_dims, rights)
         ],
-        stack_after=v["stack_after"],
         moe_selector=v["moe_selector"],
         adapters=adapters,
     )
@@ -367,7 +330,7 @@ def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderC
 
 def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
     """Serialize an EncoderConfig to flat key=value text: one line per
-    ``ENCODER_KEYS`` entry that has a value, in table order.
+    ``ENCODER_KEYS`` entry, in table order.
 
     Only geometries expressible in the flat schema round-trip: uniform
     per-stack heads/kernels/contexts and uniform expert placement, which is
@@ -378,7 +341,7 @@ def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
     v.update(feature_dim=cfg.frontend.feature_dim, frame_stack=cfg.frontend.stack,
              frame_downsample=cfg.frontend.downsample, input_dim=cfg.input_block.out_dim,
              input_convs=cfg.input_block.num_convs, input_kernel=cfg.input_block.kernel,
-             stack_after=cfg.stack_after, ffn_mult=(cfg.causal + cfg.non_causal)[0].ffn_mult,
+             ffn_mult=(cfg.causal + cfg.non_causal)[0].ffn_mult,
              right_contexts=[l.right_context for l in cfg.non_causal],
              moe_selector=cfg.moe_selector,
              adapter_dim=cfg.adapters.dim if cfg.adapters else 0,
@@ -391,7 +354,8 @@ def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
     if cfg.non_causal:
         n0 = cfg.non_causal[0]
         v.update(moe_placement=n0.moe_placement, num_experts=n0.num_experts,
-                 expert_mult=n0.expert_mult, moe_residual_scale=n0.moe_residual_scale)
-    lines = [f"{prefix}{name}={_TYPES[ENCODER_KEYS[name].type][1](value)}"
-             for name, value in v.items() if value is not None]
+                 expert_mult=n0.expert_mult)
+    lines = [f"{prefix}{name}=" + (",".join(map(str, value)) if isinstance(value, (list, tuple))
+                                   else str(value))
+             for name, value in v.items()]
     return "\n".join(lines) + "\n"

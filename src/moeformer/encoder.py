@@ -4,9 +4,10 @@ A layer runs start feed-forward (half residual), masked multi-headed
 self-attention, a convolution module, end feed-forward (half residual), and
 a closing layer norm. Wherever the config places expert routing, that
 feed-forward is swapped for a mixture-of-experts block behind a full
-residual. The encoder pairs a strictly causal stack (causal convolution,
-left-context attention, a mid-stack time-stacking step) with a non-causal
-cascade whose attention may look a bounded number of frames ahead.
+residual. The encoder runs an input block and a 2x time-stacking step,
+then pairs a strictly causal stack (causal convolution, left-context
+attention) with a non-causal cascade whose attention may look a bounded
+number of frames ahead.
 """
 
 from __future__ import annotations
@@ -152,21 +153,17 @@ class FFNBlock:
 
 
 class MoEBlock:
-    """Pre-normed expert-routed feed-forward behind a (default full) residual."""
+    """Pre-normed expert-routed feed-forward behind a full residual."""
 
-    def __init__(self, ln: _Norm, moe: MoELayer, residual_scale: float):
+    def __init__(self, ln: _Norm, moe: MoELayer):
         self.ln = ln
         self.moe = moe
-        self.residual_scale = residual_scale
 
     def __call__(self, x: Tensor) -> tuple[Tensor, RoutingDecision]:
         b, t, d = x.shape
         h = self.ln(x)
         y, decision = self.moe.forward(T.reshape(h, (b * t, d)))
-        y = T.reshape(y, (b, t, d))
-        if self.residual_scale != 1.0:
-            return T.add_scaled(x, y, self.residual_scale), decision
-        return x + y, decision
+        return x + T.reshape(y, (b, t, d)), decision
 
 
 class AttentionBlock:
@@ -283,7 +280,7 @@ def _build_layer(cfg: ConformerLayerConfig, make: _ParamFactory, prefix: str) ->
         gate = make.zeros(p + "gate_w", d, cfg.num_experts)  # uniform routing at step 0
         experts = [ExpertFFN(*two_layer(f"{p}expert{i}.", cfg.expert_mult * d))
                    for i in range(cfg.num_experts)]
-        return MoEBlock(ln, MoELayer(gate, experts), cfg.moe_residual_scale)
+        return MoEBlock(ln, MoELayer(gate, experts))
 
     start = ffn_or_moe(cfg.moe_sites[0], "start")
     p = prefix + "attn."
@@ -395,6 +392,7 @@ class EncoderModel:
         x = self.input_proj(x)
         for w, b in self.input_convs:
             x = T.swish(T.causal_conv(x, w, b))
+        x = _time_stack2(x)
 
         decisions: list[RoutingDecision] = []
         masks: dict[tuple[int, int, int], Array] = {}
@@ -407,8 +405,6 @@ class EncoderModel:
             return masks[key]
 
         for stage, proj, layer in zip(self.stages, self.projs, self.layers):
-            if stage.time_stack == "before":
-                x = _time_stack2(x)
             if mode == "causal_only" and not layer.cfg.causal:
                 break
             if proj is not None:
@@ -418,8 +414,6 @@ class EncoderModel:
                 if language_ids is None:
                     raise ParameterError("adapters are enabled but no group ids were given")
                 x = self.adapter_banks[stage.index].forward(x, language_ids)
-            if stage.time_stack == "after":
-                x = _time_stack2(x)
         return (x if not squeeze else _squeeze_batch(x)), decisions
 
 

@@ -357,49 +357,27 @@ def _rows_times(rows: Array, w: Array) -> Array:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, numpy broadcasting rules.
+    """``a @ b`` for a (..., k) ``a`` of at least one axis and a (k, n) ``b``.
 
-    Against a 2-D ``b`` the leading axes of ``a`` are flattened to M rows
-    and each product is one GEMM: ``(M, k) @ (k, n)`` forward,
-    ``(M, n) @ (n, k)`` for the input gradient and ``(k, M) @ (M, n)`` for
-    the weight gradient. The BLAS exactness limits apply to those M rows: a
-    row's forward result matches its value in a taller product only where
-    the BLAS row results do not depend on M (a lone row runs inside a
-    two-row product, see ``_rows_times``); with OpenBLAS that holds at the
-    desk encoder's widths (96<->384, 64<->256, 96->96, 64->64) but not for
-    wider inner dimensions (at 576->144, M <= 12 differs from M = 64). The
-    gradients multiply by transposed operands, which OpenBLAS runs on an
-    M-dependent path up to about 18 rows, so they match per-sequence
-    products to rounding only. A ``b`` of rank 3 or more broadcasts as in
-    ``np.matmul``.
+    The leading axes of ``a`` are flattened to M rows and each product is
+    one GEMM: ``(M, k) @ (k, n)`` forward, ``(M, n) @ (n, k)`` for the input
+    gradient and ``(k, M) @ (M, n)`` for the weight gradient. The BLAS
+    exactness limits apply to those M rows: a row's forward result matches
+    its value in a taller product only where the BLAS row results do not
+    depend on M (a lone row runs inside a two-row product, see
+    ``_rows_times``); with OpenBLAS that holds at the desk encoder's widths
+    (96<->384, 64<->256, 96->96, 64->64) but not for wider inner dimensions
+    (at 576->144, M <= 12 differs from M = 64). The gradients multiply by
+    transposed operands, which OpenBLAS runs on an M-dependent path up to
+    about 18 rows, so they match per-sequence products to rounding only.
     """
-    if a.ndim < 1 or b.ndim < 2:
+    if a.ndim < 1 or b.ndim != 2:
         raise ParameterError(
-            f"matmul: left operand must be at least 1-D and right at least 2-D, "
+            f"matmul: left operand must be at least 1-D and right 2-D, "
             f"got {a.shape} @ {b.shape}")
-    k = a.shape[-1]
-    if k != b.shape[-2]:
-        raise ParameterError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        return _flat_matmul(a, b)
-    data = np.matmul(a.data, b.data)
-    _tally(data.size * k)
-
-    def backward(g: Array) -> None:
-        # a vector left operand acts as one row: promote it and its gradient
-        a2, g2 = (a.data[None], g[..., None, :]) if a.ndim == 1 else (a.data, g)
-        if a.requires_grad:
-            ga = np.matmul(g2, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
-            _accum(b, _unbroadcast(gb, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def _flat_matmul(a: Tensor, b: Tensor) -> Tensor:
     k, n = b.shape
+    if a.shape[-1] != k:
+        raise ParameterError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     data = _rows_times(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,))
     _tally(data.size * k)
 

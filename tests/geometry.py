@@ -22,7 +22,6 @@ from moeformer.config import (
     InputBlockConfig,
     encoder_from_flat,
     parse_kv_file,
-    split_right_context,
 )
 from moeformer.synth import SyntheticTaskSpec
 
@@ -67,8 +66,13 @@ def desk_encoder(
     feature_dim: int = 16,
     ffn_mult: int = 4,
 ) -> EncoderConfig:
-    """CPU-sized default geometry: 3 causal layers at 64, 4 non-causal at 96."""
-    rights = split_right_context(non_causal_layers + 2, non_causal_layers)
+    """CPU-sized default geometry: 3 causal layers at 64, 4 non-causal at 96.
+
+    The non-causal layers share ``non_causal_layers + 2`` right-context
+    frames as evenly as possible, the earlier layers taking the extra ones.
+    """
+    base, extra = divmod(non_causal_layers + 2, max(non_causal_layers, 1))
+    rights = [base + (i < extra) for i in range(non_causal_layers)]
     causal = [
         ConformerLayerConfig(
             model_dim=causal_dim, ffn_mult=ffn_mult, heads=heads, conv_kernel=7,
@@ -91,7 +95,6 @@ def desk_encoder(
         input_block=InputBlockConfig(out_dim=causal_dim // 2, num_convs=2, kernel=3),
         causal=causal,
         non_causal=non_causal,
-        stack_after=0,
         moe_selector=moe_selector,
         adapters=adapters,
     )

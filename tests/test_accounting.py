@@ -9,31 +9,31 @@ import numpy as np
 import pytest
 
 from moeformer.accounting import (
+    BASELINE_PUBLISHED,
     count_params,
     fitted_remainder,
     flops_per_frame,
     report_kv,
     total_macs,
 )
-from moeformer.config import AdapterConfig
+from moeformer.config import AdapterConfig, InputBlockConfig
 from moeformer.encoder import build_encoder
 from moeformer.tensor import count_macs
 
 from geometry import REFERENCE_SIZES_M, desk_encoder, reference_family
 
 REPO = Path(__file__).resolve().parent.parent
-BASELINE_PUBLISHED = 180_000_000
 
 
-# the desk geometry (input block 32 wide, causal layers 64, non-causal 96)
-# with the time stacking after causal layer 0 (32 -> 64 ahead of causal layer
-# 0, 128 -> 64 ahead of layer 1) and after the whole causal stack (tail
-# stacking: 128 -> 96 ahead of non-causal layer 0); expected projection names
-LATE_STACKING = (
-    (replace(desk_encoder(), stack_after=1),
-     ["causal.proj0", "causal.proj1", "noncausal.proj0"]),
-    (replace(desk_encoder(), stack_after=3), ["causal.proj0", "noncausal.proj0"]),
+# the desk geometry (causal layers 64, non-causal 96) with its input block 32
+# wide (64 after the time stacking) and 48 wide (96 after it: 96 -> 64 ahead
+# of causal layer 0); expected projection names
+PROJECTIONS = (
+    (desk_encoder(), ["noncausal.proj0"]),
+    (replace(desk_encoder(), input_block=InputBlockConfig(out_dim=48, num_convs=2, kernel=3)),
+     ["causal.proj0", "noncausal.proj0"]),
 )
+WIDE_INPUT = PROJECTIONS[1][0]
 
 
 def small_cfg(**overrides):
@@ -100,10 +100,11 @@ def test_executable_consistency_exact():
         small_cfg(moe_selector="odd"),
         small_cfg(adapters=AdapterConfig(dim=8, num_groups=4)),
         desk_encoder(),
-    ) + tuple(cfg for cfg, _ in LATE_STACKING):
+        WIDE_INPUT,
+    ):
         model = build_encoder(cfg, seed=1)
         assert count_params(cfg).total_params == model.num_params()
-    for cfg, projections in LATE_STACKING:
+    for cfg, projections in PROJECTIONS:
         names = {name.rsplit(".", 1)[0] for name, _ in build_encoder(cfg, seed=1).parameters()}
         assert sorted(n for n in names if re.fullmatch(r"(non)?causal\.proj\d+", n)) == projections
 
@@ -141,8 +142,7 @@ def test_total_macs_matches_instrumented_forward():
         (small_cfg(moe_placement="none", num_experts=0), 16, 2),
         (small_cfg(adapters=AdapterConfig(dim=8, num_groups=2)), 24, 3),
         (desk_encoder(), 40, 2),
-        (LATE_STACKING[0][0], 37, 2),
-        (LATE_STACKING[1][0], 37, 2),
+        (WIDE_INPUT, 37, 2),
     ):
         model = build_encoder(cfg, seed=2)
         feats = rng.standard_normal(
@@ -155,15 +155,14 @@ def test_total_macs_matches_instrumented_forward():
 
 
 def test_total_macs_causal_only_mode():
-    for cfg in (small_cfg(),) + tuple(cfg for cfg, _ in LATE_STACKING):
+    for cfg in (small_cfg(), WIDE_INPUT):
         model = build_encoder(cfg, seed=3)
         feats = np.zeros((1, 20, cfg.frontend.feature_dim), dtype=np.float32)
         with count_macs() as counter:
             out, _ = model.forward(feats, mode="causal_only")
         assert counter.total == total_macs(cfg, 20, mode="causal_only")
-        # tail stacking runs in causal_only mode too: 20 raw frames -> 10 -> 5
-        tail = cfg.stack_after == len(cfg.causal)
-        assert out.shape == (1, 5, cfg.causal[-1].model_dim * (2 if tail else 1))
+        # 20 raw frames -> 10 after the frontend -> 5 after the time stacking
+        assert out.shape == (1, 5, cfg.causal[-1].model_dim)
 
 
 def test_flops_per_frame_is_the_steady_state_of_total_macs():
@@ -173,7 +172,8 @@ def test_flops_per_frame_is_the_steady_state_of_total_macs():
         desk_encoder(),
         desk_encoder(moe_placement="both", moe_selector="odd",
                      adapters=AdapterConfig(dim=8, num_groups=3)),
-    ] + [replace(desk_encoder(), stack_after=s) for s in (1, 2, 3)]
+        WIDE_INPUT,
+    ]
     for cfg in configs:
         ds = cfg.total_downsample
         n = 200 * ds

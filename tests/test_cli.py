@@ -199,6 +199,20 @@ def test_bad_config_echo_is_single_line_error(tmp_path, capsys):
         assert detail in err
 
 
+@pytest.mark.parametrize("command", ["eval", "route-stats"])
+def test_echo_holding_a_removed_key_names_the_checkpoint(trained_dir, tmp_path, capsys,
+                                                         command):
+    # the echo of a checkpoint written while these encoder keys still existed
+    tensors, config_text, step = load_checkpoint(trained_dir / "checkpoint.bin")
+    old = tmp_path / "old.bin"
+    save_checkpoint(tensors.items(), old, step=step, config_text=config_text
+                    + "encoder.stack_after=0\nencoder.moe_residual_scale=1.0\n")
+    code = main([command, "--config", str(QUICK), "--checkpoint", str(old), "--batches", "1"])
+    assert code == 1
+    _single_line_error(capsys, f"{old} config echo:", "encoder.stack_after",
+                       "encoder.moe_residual_scale")
+
+
 def _single_line_error(capsys, *details):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
@@ -239,7 +253,6 @@ def test_negative_config_seed_is_single_line_error(tmp_path, capsys, key, value)
     # infinite clip_norm would disable clipping, which only 0 may do
     ("train.lr", "inf"), ("train.clip_norm", "inf"), ("train.aux_weight", "inf"),
     ("task.noise", "inf"), ("task.noise", "nan"), ("task.language_offset", "inf"),
-    ("encoder.moe_residual_scale", "nan"), ("encoder.moe_residual_scale", "inf"),
 ])
 def test_out_of_range_training_value_is_refused_before_training(tmp_path, capsys,
                                                                 monkeypatch, key, value):
@@ -294,12 +307,13 @@ def test_encoder_config_differing_from_the_echo_fails(trained_dir, tmp_path, cap
 
 def test_encoder_config_matching_the_echo_in_another_spelling_evaluates(trained_dir, tmp_path,
                                                                       capsys):
-    # right_context_total=4 over two non-causal layers is right_contexts=2,2
-    total = _config(tmp_path / "total.cfg", {"encoder.right_context_total": 4},
-                    drop=("encoder.right_contexts=",))
+    # a space inside the right-context list, and moe_selector left out at its
+    # default: the same encoder as the echo's "right_contexts=2,2" and "all"
+    spelled = _config(tmp_path / "spelled.cfg", {"encoder.right_contexts": "2, 2"},
+                      drop=("encoder.moe_selector=",))
     task_only = _config(tmp_path / "task.cfg", drop=("encoder.",))
     outputs = []
-    for config in (QUICK, total, task_only):
+    for config in (QUICK, spelled, task_only):
         code = main(["eval", "--config", str(config), "--checkpoint",
                      str(trained_dir / "checkpoint.bin"), "--batches", "1"])
         assert code == 0, capsys.readouterr().err

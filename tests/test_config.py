@@ -15,7 +15,6 @@ from moeformer.config import (
     encoder_to_flat,
     parse_kv_file,
     parse_kv_text,
-    split_right_context,
 )
 from moeformer.evaluation import BUDGET_TOLERANCE
 from moeformer.synth import SyntheticTaskSpec, task_from_flat
@@ -26,18 +25,6 @@ from geometry import desk_encoder, micro_encoder, micro_task, reference_family
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _with_residual_scale(cfg, scale):
-    cfg.non_causal = [replace(l, moe_residual_scale=scale) for l in cfg.non_causal]
-    return cfg
-
-
-def test_split_right_context_even_as_possible():
-    assert split_right_context(15, 10) == [2, 2, 2, 2, 2, 1, 1, 1, 1, 1]
-    assert split_right_context(6, 4) == [2, 2, 1, 1]
-    assert split_right_context(0, 3) == [0, 0, 0]
-    assert split_right_context(4, 0) == []
-
-
 @pytest.mark.parametrize("cfg", [
     desk_encoder(),
     desk_encoder(moe_placement="none", num_experts=0),
@@ -45,7 +32,6 @@ def test_split_right_context_even_as_possible():
     desk_encoder(adapters=AdapterConfig(dim=32, num_groups=4)),
     desk_encoder(causal_layers=0),
     desk_encoder(non_causal_layers=0),
-    _with_residual_scale(desk_encoder(), 0.1234567),
     *reference_family().values(),  # the 12 files under configs/reference
 ])
 def test_encoder_flat_roundtrip(cfg):
@@ -54,16 +40,13 @@ def test_encoder_flat_roundtrip(cfg):
 
 
 def test_echo_writes_every_key_in_table_order():
-    # right_context_total is the alternative spelling of right_contexts
     names = [line.split("=", 1)[0] for line in encoder_to_flat(desk_encoder()).splitlines()]
-    assert names == ["encoder." + k for k in ENCODER_KEYS if k != "right_context_total"]
+    assert names == ["encoder." + k for k in ENCODER_KEYS]
 
 
 def _shown(default):
     if default is REQUIRED:
         return "required"
-    if default is None:
-        return "unset"
     return f"`{default}`" if default != () else "empty"
 
 
@@ -130,10 +113,10 @@ def test_keys_of_an_empty_stack_are_accepted():
     assert encoder_from_flat(parse_kv_text(text)) == desk_encoder(causal_layers=0)
 
 
-def test_both_right_context_forms_rejected():
-    text = encoder_to_flat(desk_encoder()) + "encoder.right_context_total=6\n"
-    with pytest.raises(ConfigError, match="not both"):
-        encoder_from_flat(parse_kv_text(text))
+def test_right_contexts_left_out_are_zeros():
+    text = encoder_to_flat(desk_encoder()).replace("encoder.right_contexts=2,2,1,1\n", "")
+    cfg = encoder_from_flat(parse_kv_text(text))
+    assert cfg.non_causal == [replace(l, right_context=0) for l in desk_encoder().non_causal]
 
 
 def test_adapter_groups_need_adapter_dim():

@@ -300,11 +300,9 @@ def _held_parameters(root, skip):
     return held
 
 
-@pytest.mark.parametrize("stack_after", [0, 3])
-def test_parameter_list_holds_every_module_tensor(stack_after):
+def test_parameter_list_holds_every_module_tensor():
     # layers, blocks, experts, adapter groups, projections, input convs, head
     cfg = desk_encoder(adapters=AdapterConfig(dim=12, num_groups=3))
-    cfg.stack_after = stack_after
     model = build_model(cfg, num_labels=5, seed=40)
     named = list(model.parameters())
     held = _held_parameters(model, skip=model.encoder._params)
@@ -358,10 +356,6 @@ def test_invalid_config_rejected():
         ConformerLayerConfig(model_dim=8, heads=2, causal=True, right_context=3).validate()
     with pytest.raises(ConfigError):
         ConformerLayerConfig(model_dim=8, heads=2, moe_placement="end", num_experts=1).validate()
-    cfg = tiny_config()
-    cfg.stack_after = 99
-    with pytest.raises(ConfigError):
-        build_encoder(cfg, seed=0)
 
 
 def test_encoder_without_layers_rejected():

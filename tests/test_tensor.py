@@ -505,18 +505,25 @@ def test_gradcheck_dense_chain():
 
 
 def test_gradcheck_matmul_vector_left_operand():
-    # a 1-D left operand is one row: (k,) @ (k, n) -> (n,), (k,) @ (B, k, n) -> (B, n)
+    # a 1-D left operand is one row: (k,) @ (k, n) -> (n,)
     rng = np.random.default_rng(47)
-    for b_shape in ((4, 3), (2, 4, 3)):
-        a = _param(rng, 4)
-        b = _param(rng, *b_shape)
-        probe = rng.standard_normal(b_shape[:-2] + b_shape[-1:])
+    a = _param(rng, 4)
+    b = _param(rng, 4, 3)
+    probe = rng.standard_normal(3)
 
-        def loss_fn():
-            return sum_(matmul(a, b) * probe)
+    def loss_fn():
+        return sum_(matmul(a, b) * probe)
 
-        assert matmul(a, b).shape == probe.shape
-        assert_grads_close(loss_fn, {"a": a, "b": b})
+    assert matmul(a, b).shape == probe.shape
+    assert_grads_close(loss_fn, {"a": a, "b": b})
+
+
+@pytest.mark.parametrize("b_shape", [(2, 4, 3), (4,)])
+def test_matmul_refuses_a_right_operand_that_is_not_2d(b_shape):
+    with pytest.raises(ParameterError) as info:
+        matmul(Tensor(np.zeros((5, 4))), Tensor(np.zeros(b_shape)))
+    message = str(info.value)
+    assert "\n" not in message and "(5, 4)" in message and str(b_shape) in message
 
 
 def test_gradcheck_layer_norm_and_conv():

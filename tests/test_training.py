@@ -40,17 +40,6 @@ def test_metrics_deterministic_across_runs(tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
-def test_head_matches_tail_time_stacked_output():
-    # a causal-only encoder whose time stacking runs after its last layer
-    # emits frames twice as wide as that layer
-    cfg = replace(micro_encoder(causal_layers=2, non_causal_layers=0, moe_placement="none",
-                                num_experts=0), stack_after=2)
-    assert cfg.output_dim == 32
-    model = build_model(cfg, num_labels=3, seed=1)
-    logits, _ = model.logits(np.zeros((2, 16, 8), dtype=np.float32))
-    assert logits.shape == (2, 4, 3)
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_aborts_with_diagnostic():
