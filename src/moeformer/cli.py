@@ -34,6 +34,10 @@ from .training import (
 )
 
 
+# the key prefixes of compare-adapter's two encoders
+PAIR_PREFIXES = ("adapter_encoder.", "moe_encoder.")
+
+
 def _out_dir(args) -> Path | None:
     if args.out is None:
         return None
@@ -120,14 +124,20 @@ def cmd_eval(args) -> int:
 
 def cmd_count_params(args) -> int:
     raw = parse_kv_file(args.config)
-    encoder_cfg = encoder_from_flat(raw)
-    report = count_params(encoder_cfg)
     remainder = 0
     if args.baseline_config is not None:
         base_cfg = encoder_from_flat(parse_kv_file(args.baseline_config))
         remainder = fitted_remainder(count_params(base_cfg).total_params,
                                      args.baseline_total)
-    lines = report_lines(report, remainder) + report_kv(report, remainder)
+    if any(key.startswith("encoder.") for key in raw):
+        report = count_params(encoder_from_flat(raw))
+        lines = report_lines(report, remainder) + report_kv(report, remainder)
+    else:  # a compare-adapter file: each of its two encoders, labelled with its prefix
+        lines = []
+        for prefix in PAIR_PREFIXES:
+            report = count_params(encoder_from_flat(raw, prefix=prefix))
+            lines += [f"[{prefix.rstrip('.')}]", *report_lines(report, remainder),
+                      *(prefix + line for line in report_kv(report, remainder))]
     _emit(lines, _out_dir(args), "params.txt")
     return 0
 
@@ -146,8 +156,7 @@ def cmd_compare_adapter(args) -> int:
     train_cfg = train_from_flat(raw)
     if args.seed is not None:
         train_cfg.seed = args.seed
-    adapter_cfg = encoder_from_flat(raw, prefix="adapter_encoder.")
-    moe_cfg = encoder_from_flat(raw, prefix="moe_encoder.")
+    adapter_cfg, moe_cfg = (encoder_from_flat(raw, prefix=p) for p in PAIR_PREFIXES)
     report = compare_adapter_vs_moe(
         task, adapter_cfg, moe_cfg, train_cfg,
         eval_batches=args.batches, eval_batch_size=args.batch_size,

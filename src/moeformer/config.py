@@ -334,8 +334,10 @@ def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
 
     Only geometries expressible in the flat schema round-trip: uniform
     per-stack heads/kernels/contexts and uniform expert placement, which is
-    everything this package constructs. The per-layer keys of an empty stack
-    are written with their table defaults.
+    everything the config files construct. Any other geometry (say, one
+    layer with other heads) is a ConfigError, never a text that reads back
+    as another encoder. The per-layer keys of an empty stack are written
+    with their table defaults.
     """
     v = {name: key.default for name, key in ENCODER_KEYS.items()}
     v.update(feature_dim=cfg.frontend.feature_dim, frame_stack=cfg.frontend.stack,
@@ -358,4 +360,8 @@ def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
     lines = [f"{prefix}{name}=" + (",".join(map(str, value)) if isinstance(value, (list, tuple))
                                    else str(value))
              for name, value in v.items()]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if encoder_from_flat(parse_kv_text(text), prefix) != cfg:
+        raise ConfigError("the encoder has per-layer settings that flat keys cannot hold; "
+                          "its text would read back as another encoder")
+    return text

@@ -1,29 +1,25 @@
-"""Encoder geometries for the tests.
+"""Encoder geometries and tasks for the tests.
 
-The named geometries (the reference family and the desk runs) are defined
-only by the files under ``configs/``, and ``reference_family`` reads them
-from there; ``REFERENCE_SIZES_M`` holds the published sizes they are checked
-against. ``desk_encoder`` is a parametric builder for the small variants
-that unit tests need by the dozen, and ``micro_encoder`` / ``micro_task``
-shrink it for the training and evaluation tests. With no arguments they
-equal the shipped files (``desk_encoder``: ``configs/desk/balance.cfg``;
-``micro_*``: ``configs/desk/quick.cfg``), which ``test_config`` checks.
+Every geometry the tests run is read from a shipped file under
+``configs/``. ``reference_family`` reads the reference family, and
+``calibrated_family`` adds the remainder that calibrates its dense baseline
+to the published size; ``REFERENCE_SIZES_M`` holds the published sizes the
+family is checked against. ``encoder_of`` and ``task_of`` read a desk file
+(``quick`` or ``balance``) with overrides named by the file's own keys, so a
+variant is written in the README's key vocabulary, for example
+``encoder_of("quick", num_experts=3, noncausal_dims="24,24,24",
+right_contexts="2,2,1")``; parsing and validation are
+``moeformer.config``'s.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
-from moeformer.config import (
-    AdapterConfig,
-    ConformerLayerConfig,
-    EncoderConfig,
-    FrontendConfig,
-    InputBlockConfig,
-    encoder_from_flat,
-    parse_kv_file,
-)
-from moeformer.synth import SyntheticTaskSpec
+from moeformer.accounting import BASELINE_PUBLISHED, count_params, fitted_remainder
+from moeformer.config import EncoderConfig, encoder_from_flat, parse_kv_file
+from moeformer.synth import SyntheticTaskSpec, task_from_flat
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,69 +48,28 @@ def reference_family() -> dict[str, EncoderConfig]:
             for path in sorted((CONFIGS / "reference").glob("*.cfg"))}
 
 
-def desk_encoder(
-    moe_placement: str = "end",
-    num_experts: int = 4,
-    expert_mult: int = 4,
-    moe_selector: str = "all",
-    adapters: AdapterConfig | None = None,
-    causal_layers: int = 3,
-    causal_dim: int = 64,
-    non_causal_layers: int = 4,
-    non_causal_dim: int = 96,
-    heads: int = 4,
-    feature_dim: int = 16,
-    ffn_mult: int = 4,
-) -> EncoderConfig:
-    """CPU-sized default geometry: 3 causal layers at 64, 4 non-causal at 96.
-
-    The non-causal layers share ``non_causal_layers + 2`` right-context
-    frames as evenly as possible, the earlier layers taking the extra ones.
-    """
-    base, extra = divmod(non_causal_layers + 2, max(non_causal_layers, 1))
-    rights = [base + (i < extra) for i in range(non_causal_layers)]
-    causal = [
-        ConformerLayerConfig(
-            model_dim=causal_dim, ffn_mult=ffn_mult, heads=heads, conv_kernel=7,
-            causal=True, left_context=16, right_context=0,
-        )
-        for _ in range(causal_layers)
-    ]
-    non_causal = [
-        ConformerLayerConfig(
-            model_dim=non_causal_dim, ffn_mult=ffn_mult, heads=heads, conv_kernel=7,
-            causal=False, left_context=16, right_context=rights[i],
-            moe_placement=moe_placement,
-            num_experts=num_experts if moe_placement != "none" else 0,
-            expert_mult=expert_mult,
-        )
-        for i in range(non_causal_layers)
-    ]
-    return EncoderConfig(
-        frontend=FrontendConfig(feature_dim=feature_dim, stack=2, downsample=2),
-        input_block=InputBlockConfig(out_dim=causal_dim // 2, num_convs=2, kernel=3),
-        causal=causal,
-        non_causal=non_causal,
-        moe_selector=moe_selector,
-        adapters=adapters,
-    )
+@cache
+def calibrated_family() -> tuple[dict[str, EncoderConfig], int]:
+    """The reference family and the parameter remainder outside the encoder
+    that makes b1's count the published baseline."""
+    family = reference_family()
+    return family, fitted_remainder(count_params(family["b1"]).total_params,
+                                    BASELINE_PUBLISHED)
 
 
-def micro_encoder(**overrides) -> EncoderConfig:
-    """``desk_encoder`` at the widths of ``configs/desk/quick.cfg``."""
-    kwargs = dict(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=24,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=2,
-    )
-    kwargs.update(overrides)
-    return desk_encoder(**kwargs)
+def _desk(name: str, section: str, keys: dict) -> dict[str, str]:
+    raw = parse_kv_file(CONFIGS / "desk" / f"{name}.cfg")
+    raw.update({f"{section}.{key}": str(value) for key, value in keys.items()})
+    return raw
 
 
-def micro_task(**overrides) -> SyntheticTaskSpec:
-    """The task of ``configs/desk/quick.cfg``."""
-    kwargs = dict(
-        num_languages=2, feature_dim=8, tokens_per_language=4, shared_tokens=1,
-        min_tokens=4, max_tokens=6, frames_per_token=4, noise_scale=0.2, seed=0,
-    )
-    kwargs.update(overrides)
-    return SyntheticTaskSpec(**kwargs)
+def encoder_of(name: str, **keys) -> EncoderConfig:
+    """The encoder of ``configs/desk/<name>.cfg`` with ``keys`` (``ENCODER_KEYS``
+    names) set."""
+    return encoder_from_flat(_desk(name, "encoder", keys))
+
+
+def task_of(name: str, **keys) -> SyntheticTaskSpec:
+    """The task of ``configs/desk/<name>.cfg`` with ``keys`` (``task.`` key
+    names, such as ``languages``) set."""
+    return task_from_flat(_desk(name, "task", keys))

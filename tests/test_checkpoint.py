@@ -5,19 +5,15 @@ import pytest
 
 from moeformer import CheckpointError
 from moeformer.checkpoint import load_checkpoint, load_into, save_checkpoint
-from moeformer.synth import SyntheticTaskSpec
 from moeformer.tensor import Tensor
 from moeformer.training import Adam, TrainConfig, build_model, checkpoint_config_text
 
 import oracles
-from geometry import desk_encoder
+from geometry import encoder_of
 
 
-def small_model(seed=0, **overrides):
-    cfg = desk_encoder(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=16,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=2, **overrides,
-    )
+def small_model(seed=0):
+    cfg = encoder_of("quick", noncausal_dims="16,16")
     return cfg, build_model(cfg, num_labels=11, seed=seed)
 
 
@@ -104,10 +100,7 @@ def test_shape_mismatch_names_offending_tensor(tmp_path):
     cfg, model = small_model()
     path = tmp_path / "model.ckpt"
     save_checkpoint(model.parameters(), path)
-    wider_ffn = desk_encoder(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=16,
-        heads=2, feature_dim=8, ffn_mult=4, num_experts=2,
-    )
+    wider_ffn = encoder_of("quick", noncausal_dims="16,16", ffn_mult=4)
     other = build_model(wider_ffn, num_labels=11, seed=0)
     with pytest.raises(CheckpointError, match="shape mismatch for"):
         load_into(other.parameters(), path)
@@ -117,10 +110,7 @@ def test_name_mismatch_reported(tmp_path):
     cfg, model = small_model()
     path = tmp_path / "model.ckpt"
     save_checkpoint(model.parameters(), path)
-    moe_cfg = desk_encoder(
-        causal_layers=1, causal_dim=16, non_causal_layers=2, non_causal_dim=16,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=3,
-    )
+    moe_cfg = encoder_of("quick", noncausal_dims="16,16", num_experts=3)
     other = build_model(moe_cfg, num_labels=11, seed=0)
     with pytest.raises(CheckpointError, match="names do not match"):
         load_into(other.parameters(), path)

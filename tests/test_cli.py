@@ -71,14 +71,21 @@ def test_route_stats_exits_zero(trained_dir, capsys):
 
 
 def test_count_params_on_every_reference_config(capsys):
-    for cfg in sorted(REFERENCE.glob("*.cfg")):
+    # all 16 shipped files; a compare-adapter pair file reports both of its
+    # encoders, each under its own prefix
+    shipped = sorted(REFERENCE.glob("*.cfg")) + sorted(QUICK.parent.glob("*.cfg"))
+    assert len(shipped) == 16
+    for cfg in shipped:
         code = main([
             "count-params", "--config", str(cfg),
             "--baseline-config", str(REFERENCE / "b1.cfg"),
         ])
         assert code == 0, cfg
-    out = capsys.readouterr().out
-    assert "params.total_with_remainder=" in out
+        out = capsys.readouterr().out
+        pair = cfg.stem.startswith("compare")
+        for prefix in ("adapter_encoder.", "moe_encoder.") if pair else ("",):
+            assert f"\n{prefix}params.total_with_remainder=" in out, cfg
+        assert out.count("params.total=") == 1 + pair, cfg
 
 
 def test_compare_adapter_exits_zero(capsys):

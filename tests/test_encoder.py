@@ -1,21 +1,13 @@
 """Encoder tests: frontend contracts, layer oracle equivalence, streaming
 causality, right-context budgets, adapters, and build determinism."""
 
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from moeformer import ConfigError, ParameterError
-from moeformer.config import (
-    AdapterConfig,
-    ConformerLayerConfig,
-    EncoderConfig,
-    FrontendConfig,
-    InputBlockConfig,
-    encoder_from_flat,
-    parse_kv_file,
-)
+from moeformer.config import ConformerLayerConfig
 from moeformer.encoder import (
     AdapterBank,
     attention_window_mask,
@@ -27,18 +19,9 @@ from moeformer.training import build_model
 from moeformer.tensor import Tensor, mean
 
 import oracles
-from geometry import desk_encoder
+from geometry import encoder_of
 
-DESK_BALANCE = Path(__file__).resolve().parent.parent / "configs" / "desk" / "balance.cfg"
-
-
-def tiny_config(rng=None, **overrides):
-    kwargs = dict(
-        causal_layers=2, causal_dim=16, non_causal_layers=2, non_causal_dim=24,
-        heads=2, feature_dim=8, ffn_mult=2, num_experts=2,
-    )
-    kwargs.update(overrides)
-    return desk_encoder(**kwargs)
+TWO_CAUSAL = encoder_of("quick", causal_dims="16,16")
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +120,7 @@ def test_attention_window_mask_matches_index_grid_oracle(frames):
 
 
 def test_plain_layer_matches_independent_oracle():
-    cfg = tiny_config(moe_placement="none", num_experts=0)
+    cfg = encoder_of("quick", causal_dims="16,16", moe_placement="none")
     model = build_encoder(cfg, seed=5, dtype=np.float64)
     layer = noncausal_layers(model)[0]
     t, d = 9, layer.cfg.model_dim
@@ -153,7 +136,7 @@ def test_plain_layer_matches_independent_oracle():
 
 
 def test_moe_end_layer_matches_dense_two_expert_oracle():
-    cfg = tiny_config(moe_placement="end", num_experts=2)
+    cfg = TWO_CAUSAL
     model = build_encoder(cfg, seed=7, dtype=np.float64)
     layer = noncausal_layers(model)[0]
     # zero-init gates route uniformly; give them structure for a sharper test
@@ -183,13 +166,13 @@ def test_moe_end_layer_matches_dense_two_expert_oracle():
 
 
 def test_causal_stack_prefix_stability():
-    # the tiny geometry's sequences fit in one attention block; the desk
+    # the two-layer geometry's sequences fit in one attention block; the desk
     # geometry streamed in 160-frame chunks runs attention over many blocks,
     # its 60-frame prefix is one block where the full forward has many, and
     # its 4-frame prefix is one encoder frame (every matmul has one row)
     cases = [
-        (tiny_config(), 9, 40, [24]),
-        (encoder_from_flat(parse_kv_file(DESK_BALANCE)), 3, 640, [4, 60, 160, 320, 480]),
+        (TWO_CAUSAL, 9, 40, [24]),
+        (encoder_of("balance"), 3, 640, [4, 60, 160, 320, 480]),
     ]
     for cfg, seed, total, prefixes in cases:
         model = build_encoder(cfg, seed=seed)
@@ -202,7 +185,7 @@ def test_causal_stack_prefix_stability():
 
 
 def test_causal_stack_future_perturbation_exact():
-    cfg = tiny_config()
+    cfg = TWO_CAUSAL
     model = build_encoder(cfg, seed=11)
     rng = np.random.default_rng(12)
     raw = rng.standard_normal((32, cfg.frontend.feature_dim)).astype(np.float32)
@@ -220,7 +203,7 @@ def test_causal_stack_future_perturbation_exact():
 
 
 def test_cascaded_right_context_budget_exact():
-    cfg = tiny_config()
+    cfg = TWO_CAUSAL
     model = build_encoder(cfg, seed=13)
     total_right = cfg.right_context_total
     rng = np.random.default_rng(14)
@@ -243,16 +226,14 @@ def test_streaming_invariants_random_configs():
     rng = np.random.default_rng(15)
     for trial in range(6):
         heads = int(rng.integers(1, 3))
-        cfg = desk_encoder(
-            causal_layers=int(rng.integers(1, 3)),
-            causal_dim=8 * heads * int(rng.integers(1, 3)),
-            non_causal_layers=int(rng.integers(1, 3)),
-            non_causal_dim=8 * heads,
-            heads=heads,
-            feature_dim=int(rng.integers(4, 9)),
-            ffn_mult=2,
-            num_experts=int(rng.integers(2, 4)),
-        )
+        causal_layers = int(rng.integers(1, 3))
+        width = 8 * heads * int(rng.integers(1, 3))
+        layers = int(rng.integers(1, 3))
+        cfg = encoder_of(
+            "quick", input_dim=width // 2, causal_dims=",".join([str(width)] * causal_layers),
+            noncausal_dims=",".join([str(8 * heads)] * layers),
+            right_contexts=("3", "2,2")[layers - 1], causal_heads=heads, noncausal_heads=heads,
+            feature_dim=int(rng.integers(4, 9)), num_experts=int(rng.integers(2, 4)))
         model = build_encoder(cfg, seed=trial)
         raw = rng.standard_normal((40, cfg.frontend.feature_dim)).astype(np.float32)
         short, _ = model.forward(raw[:28], mode="causal_only")
@@ -261,7 +242,7 @@ def test_streaming_invariants_random_configs():
 
 
 def test_zero_length_input():
-    cfg = tiny_config()
+    cfg = TWO_CAUSAL
     model = build_encoder(cfg, seed=16)
     out, _ = model.forward(np.zeros((0, cfg.frontend.feature_dim), dtype=np.float32))
     assert out.shape[0] == 0
@@ -272,7 +253,7 @@ def test_zero_length_input():
 
 
 def test_build_determinism():
-    cfg = tiny_config()
+    cfg = TWO_CAUSAL
     a = build_encoder(cfg, seed=21)
     b = build_encoder(cfg, seed=21)
     pa, pb = dict(a.parameters()), dict(b.parameters())
@@ -302,7 +283,7 @@ def _held_parameters(root, skip):
 
 def test_parameter_list_holds_every_module_tensor():
     # layers, blocks, experts, adapter groups, projections, input convs, head
-    cfg = desk_encoder(adapters=AdapterConfig(dim=12, num_groups=3))
+    cfg = encoder_of("balance", adapter_dim=12, adapter_groups=3)
     model = build_model(cfg, num_labels=5, seed=40)
     named = list(model.parameters())
     held = _held_parameters(model, skip=model.encoder._params)
@@ -311,7 +292,7 @@ def test_parameter_list_holds_every_module_tensor():
 
 
 def test_build_seed_changes_parameters():
-    cfg = tiny_config()
+    cfg = TWO_CAUSAL
     a = build_encoder(cfg, seed=21)
     b = build_encoder(cfg, seed=22)
     assert any(
@@ -322,7 +303,8 @@ def test_build_seed_changes_parameters():
 
 
 def test_selector_first_only_yields_one_moe_layer():
-    cfg = tiny_config(non_causal_layers=4, moe_selector="first_only")
+    cfg = encoder_of("quick", causal_dims="16,16", noncausal_dims="24,24,24,24",
+                     right_contexts="2,2,1,1", moe_selector="first_only")
     model = build_encoder(cfg, seed=23)
     assert len(model.moe_layers()) == 1
     assert noncausal_layers(model)[0].moe_blocks()
@@ -330,10 +312,8 @@ def test_selector_first_only_yields_one_moe_layer():
 
 
 def test_selector_odd_on_ten_layers_yields_five():
-    cfg = desk_encoder(
-        non_causal_layers=10, non_causal_dim=16, heads=2, causal_layers=1,
-        causal_dim=16, feature_dim=8, ffn_mult=2, num_experts=2, moe_selector="odd",
-    )
+    cfg = encoder_of("quick", noncausal_dims=",".join(["16"] * 10),
+                     right_contexts="2,2" + ",1" * 8, moe_selector="odd")
     model = build_encoder(cfg, seed=24)
     assert len(model.moe_layers()) == 5
     flagged = [bool(l.moe_blocks()) for l in noncausal_layers(model)]
@@ -341,7 +321,7 @@ def test_selector_odd_on_ten_layers_yields_five():
 
 
 def test_gate_zero_init_routes_uniformly():
-    cfg = tiny_config(moe_placement="end", num_experts=4)
+    cfg = encoder_of("quick", causal_dims="16,16", num_experts=4)
     model = build_encoder(cfg, seed=25)
     raw = np.random.default_rng(26).standard_normal((24, cfg.frontend.feature_dim))
     _, decisions = model.forward(raw.astype(np.float32))
@@ -359,7 +339,7 @@ def test_invalid_config_rejected():
 
 
 def test_encoder_without_layers_rejected():
-    cfg = tiny_config(causal_layers=0, non_causal_layers=0)
+    cfg = replace(TWO_CAUSAL, causal=[], non_causal=[])
     with pytest.raises(ConfigError, match="at least one Conformer layer"):
         build_encoder(cfg, seed=0)
 
@@ -368,13 +348,12 @@ def test_encoder_without_layers_rejected():
 # adapters
 
 
-def adapter_config(**overrides):
-    return tiny_config(adapters=AdapterConfig(dim=12, num_groups=3), **overrides)
+ADAPTED = encoder_of("quick", causal_dims="16,16", adapter_dim=12, adapter_groups=3)
 
 
 def test_adapter_identity_at_init():
-    cfg = adapter_config()
-    plain = build_encoder(tiny_config(), seed=31)
+    cfg = ADAPTED
+    plain = build_encoder(TWO_CAUSAL, seed=31)
     adapted = build_encoder(cfg, seed=31)
     raw = np.random.default_rng(32).standard_normal((24, cfg.frontend.feature_dim))
     raw = raw.astype(np.float32)
@@ -385,7 +364,7 @@ def test_adapter_identity_at_init():
 
 
 def test_adapter_groups_diverge_after_training_signal():
-    cfg = adapter_config()
+    cfg = ADAPTED
     model = build_encoder(cfg, seed=33)
     rng = np.random.default_rng(34)
     # give the adapters distinct nonzero up-projections
@@ -399,7 +378,7 @@ def test_adapter_groups_diverge_after_training_signal():
 
 
 def test_adapter_parameter_count_closed_form():
-    cfg = adapter_config()
+    cfg = ADAPTED
     model = build_encoder(cfg, seed=35)
     d = cfg.non_causal[0].model_dim
     a = cfg.adapters.dim
@@ -413,7 +392,7 @@ def test_adapter_parameter_count_closed_form():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adapter_dispatch_matches_per_group_oracle(monkeypatch, dtype):
-    cfg = adapter_config()
+    cfg = ADAPTED
     raw = np.random.default_rng(38).standard_normal((4, 24, cfg.frontend.feature_dim))
     ids = np.array([2, 0, 2, 2])  # group 1 absent, group 0 holds one sequence
 
@@ -445,7 +424,7 @@ def test_adapter_dispatch_matches_per_group_oracle(monkeypatch, dtype):
 
 
 def test_adapter_unknown_group_rejected():
-    cfg = adapter_config()
+    cfg = ADAPTED
     model = build_encoder(cfg, seed=36)
     bank = model.adapter_banks[0]
     with pytest.raises(ParameterError):
@@ -456,7 +435,7 @@ def test_adapter_unknown_group_rejected():
 
 
 def test_adapter_missing_language_ids_rejected():
-    cfg = adapter_config()
+    cfg = ADAPTED
     model = build_encoder(cfg, seed=37)
     raw = np.zeros((12, cfg.frontend.feature_dim), dtype=np.float32)
     with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moeformer import ConfigError
-from moeformer.config import AdapterConfig
+from moeformer.config import encoder_from_flat, parse_kv_file
 from moeformer.encoder import EncoderModel
 from moeformer.evaluation import (
     compare_adapter_vs_moe,
@@ -18,7 +18,7 @@ from moeformer.synth import SyntheticTaskSpec, generators_for
 from moeformer.tensor import Tensor
 from moeformer.training import TrainConfig, TrainedModel, build_model, train
 
-from geometry import desk_encoder, micro_encoder, micro_task
+from geometry import CONFIGS, encoder_of, task_of
 
 
 # --------------------------------------------------------------------------
@@ -61,8 +61,8 @@ def test_oracle_gate_routing_reaches_log2_k():
 
 
 def test_untrained_zero_init_gates_have_no_language_information():
-    task = micro_task()
-    model = build_model(micro_encoder(), task.num_labels, seed=0)
+    task = task_of("quick")
+    model = build_model(encoder_of("quick"), task.num_labels, seed=0)
     result = evaluate(model, task, num_batches=20, batch_size=32)
     assert result.routing.num_frames >= 10_000 / 4
     assert result.routing.mi_top1 < 0.05
@@ -73,8 +73,8 @@ def test_untrained_zero_init_gates_have_no_language_information():
 
 
 def test_load_fractions_sum_to_two_and_counter_matches():
-    task = micro_task()
-    model = build_model(micro_encoder(num_experts=3), task.num_labels, seed=1)
+    task = task_of("quick")
+    model = build_model(encoder_of("quick", num_experts=3), task.num_labels, seed=1)
     result = evaluate(model, task, num_batches=5, batch_size=8)
     for layer in result.routing.layers:
         assert layer.load_fractions.sum() == pytest.approx(2.0, abs=1e-12)
@@ -84,8 +84,8 @@ def test_load_fractions_sum_to_two_and_counter_matches():
 
 
 def test_evaluate_is_tape_free_and_matches_taped_forward(monkeypatch):
-    task = micro_task()
-    model = build_model(micro_encoder(num_experts=3), task.num_labels, seed=5)
+    task = task_of("quick")
+    model = build_model(encoder_of("quick", num_experts=3), task.num_labels, seed=5)
     logits = TrainedModel.logits
     calls = []
 
@@ -111,8 +111,8 @@ def test_evaluate_is_tape_free_and_matches_taped_forward(monkeypatch):
 
 
 def test_routing_stream_lines():
-    task = micro_task()
-    model = build_model(micro_encoder(), task.num_labels, seed=2)
+    task = task_of("quick")
+    model = build_model(encoder_of("quick"), task.num_labels, seed=2)
     lines = routing_stream(model, task, num_batches=2, batch_size=4)
     # 2 batches x 2 layers x 2 experts
     assert len(lines) == 8
@@ -120,8 +120,8 @@ def test_routing_stream_lines():
 
 
 def test_report_lines_render():
-    task = micro_task()
-    model = build_model(micro_encoder(), task.num_labels, seed=3)
+    task = task_of("quick")
+    model = build_model(encoder_of("quick"), task.num_labels, seed=3)
     result = evaluate(model, task, num_batches=2, batch_size=4)
     text = "\n".join(result.routing.lines())
     assert "mi_top1=" in text and "loads=" in text
@@ -132,14 +132,12 @@ def test_report_lines_render():
 
 
 def paired_configs():
-    moe_cfg = micro_encoder(num_experts=2, expert_mult=2)
-    # per layer: gate 48 + one extra expert feed-forward 2376 = 2424; two
-    # layers make 4848; adapters at 49 wide cost 98*49 + 48 = 4850
-    adapter_cfg = micro_encoder(
-        moe_placement="none", num_experts=0,
-        adapters=AdapterConfig(dim=49, num_groups=2),
-    )
-    return adapter_cfg, moe_cfg
+    # the two encoders of configs/desk/compare_quick.cfg. Per layer: gate 48 +
+    # one extra expert feed-forward 2376 = 2424; two layers make 4848;
+    # adapters at 49 wide cost 98*49 + 48 = 4850
+    raw = parse_kv_file(CONFIGS / "desk" / "compare_quick.cfg")
+    return (encoder_from_flat(raw, prefix="adapter_encoder."),
+            encoder_from_flat(raw, prefix="moe_encoder."))
 
 
 def test_compare_budgets_verified_by_counter():
@@ -153,7 +151,7 @@ def test_compare_budgets_verified_by_counter():
 
 def test_compare_runs_and_reports():
     adapter_cfg, moe_cfg = paired_configs()
-    task = micro_task()
+    task = task_of("quick")
     cfg = TrainConfig(steps=30, batch_size=4, seed=4)
     report = compare_adapter_vs_moe(task, adapter_cfg, moe_cfg, cfg,
                                     eval_batches=3, eval_batch_size=8)
@@ -177,26 +175,23 @@ def test_compare_language_id_ablation_can_fail(monkeypatch):
     monkeypatch.setattr(EncoderModel, "forward", id_dependent)
     adapter_cfg, moe_cfg = paired_configs()
     cfg = TrainConfig(steps=2, batch_size=4, seed=4)
-    report = compare_adapter_vs_moe(micro_task(), adapter_cfg, moe_cfg, cfg,
+    report = compare_adapter_vs_moe(task_of("quick"), adapter_cfg, moe_cfg, cfg,
                                     eval_batches=2, eval_batch_size=4)
     assert not report.language_id_independent
 
 
 def test_compare_rejects_mismatched_budgets():
-    moe_cfg = micro_encoder(num_experts=2)
-    lopsided = micro_encoder(
-        moe_placement="none", num_experts=0,
-        adapters=AdapterConfig(dim=8, num_groups=2),
-    )
+    moe_cfg = encoder_of("quick")
+    lopsided = encoder_of("quick", moe_placement="none", adapter_dim=8, adapter_groups=2)
     with pytest.raises(ConfigError, match="budgets differ"):
-        compare_adapter_vs_moe(micro_task(), lopsided, moe_cfg,
+        compare_adapter_vs_moe(task_of("quick"), lopsided, moe_cfg,
                                TrainConfig(steps=1))
 
 
 def test_compare_rejects_wrong_shapes_of_experiment():
     adapter_cfg, moe_cfg = paired_configs()
     with pytest.raises(ConfigError, match="must carry adapters"):
-        compare_adapter_vs_moe(micro_task(), moe_cfg, moe_cfg, TrainConfig(steps=1))
+        compare_adapter_vs_moe(task_of("quick"), moe_cfg, moe_cfg, TrainConfig(steps=1))
     with pytest.raises(ConfigError, match="must not carry adapters"):
-        compare_adapter_vs_moe(micro_task(), adapter_cfg, adapter_cfg,
+        compare_adapter_vs_moe(task_of("quick"), adapter_cfg, adapter_cfg,
                                TrainConfig(steps=1))

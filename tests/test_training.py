@@ -24,13 +24,13 @@ from moeformer.training import (
 )
 
 import oracles
-from geometry import CONFIGS, desk_encoder, micro_encoder, micro_task
+from geometry import CONFIGS, encoder_of, task_of
 
 
 def test_metrics_deterministic_across_runs(tmp_path):
     cfg = TrainConfig(steps=8, batch_size=2, seed=7)
-    _, m1 = train(micro_encoder(), micro_task(), cfg)
-    _, m2 = train(micro_encoder(), micro_task(), cfg)
+    _, m1 = train(encoder_of("quick"), task_of("quick"), cfg)
+    _, m2 = train(encoder_of("quick"), task_of("quick"), cfg)
     lines1 = [metrics_line(m) for m in m1]
     lines2 = [metrics_line(m) for m in m2]
     assert lines1 == lines2
@@ -45,16 +45,16 @@ def test_metrics_deterministic_across_runs(tmp_path):
 def test_divergence_aborts_with_diagnostic():
     cfg = TrainConfig(steps=60, batch_size=2, lr=1e9, warmup_steps=1, seed=0)
     with pytest.raises(TrainingDiverged, match="step"):
-        train(micro_encoder(), micro_task(), cfg)
+        train(encoder_of("quick"), task_of("quick"), cfg)
 
 
 def test_single_language_single_pair_learns_below_uniform_loss():
     # two experts on one language: loss must beat ln(num_labels) well inside
     # the 500-step budget
-    task = micro_task(num_languages=1)
+    task = task_of("quick", languages=1)
     cfg = TrainConfig(steps=300, batch_size=4, lr=3e-3, warmup_steps=50,
                       aux_weight=0.0, seed=1)
-    _, metrics = train(micro_encoder(), task, cfg)
+    _, metrics = train(encoder_of("quick"), task, cfg)
     uniform = float(np.log(task.num_labels))
     assert metrics[-1]["loss"] < uniform
     assert min(m["step"] for m in metrics if m["loss"] < uniform) <= 500
@@ -64,8 +64,8 @@ def test_two_expert_routing_equals_dense_mixture_training(monkeypatch):
     # identical seeds, one model on the routed path and one on the dense
     # oracle path: per-step losses agree to 1e-5 (64-bit run keeps drift out
     # of the check)
-    task = micro_task()
-    enc = micro_encoder()
+    task = task_of("quick")
+    enc = encoder_of("quick")
     steps = 60
 
     def run():
@@ -113,8 +113,8 @@ def test_flat_matmul_training_matches_batched_oracle(monkeypatch):
 
 
 def test_large_aux_weight_drives_balance():
-    enc = micro_encoder(num_experts=4, non_causal_layers=1)
-    task = micro_task()
+    enc = encoder_of("quick", num_experts=4, noncausal_dims="24", right_contexts="3")
+    task = task_of("quick")
     cfg = TrainConfig(steps=250, batch_size=4, lr=3e-3, warmup_steps=50,
                       aux_weight=10.0, seed=2)
     _, metrics = train(enc, task, cfg)
@@ -128,18 +128,15 @@ def test_large_aux_weight_drives_balance():
 
 def test_task_encoder_mismatches_rejected():
     with pytest.raises(ConfigError, match="feature_dim"):
-        train(micro_encoder(), micro_task(feature_dim=12), TrainConfig(steps=1))
+        train(encoder_of("quick"), task_of("quick", feature_dim=12), TrainConfig(steps=1))
     with pytest.raises(ConfigError, match="downsample"):
-        train(micro_encoder(), micro_task(frames_per_token=2), TrainConfig(steps=1))
+        train(encoder_of("quick"), task_of("quick", frames_per_token=2), TrainConfig(steps=1))
 
 
 def test_adapter_group_count_must_match_languages():
-    from moeformer.config import AdapterConfig
-
-    enc = micro_encoder(moe_placement="none", num_experts=0,
-                        adapters=AdapterConfig(dim=8, num_groups=3))
+    enc = encoder_of("quick", moe_placement="none", adapter_dim=8, adapter_groups=3)
     with pytest.raises(ConfigError, match="adapter groups"):
-        train(enc, micro_task(num_languages=2), TrainConfig(steps=1))
+        train(enc, task_of("quick", languages=2), TrainConfig(steps=1))
 
 
 def test_warmup_schedule():
@@ -191,9 +188,9 @@ def test_flat_adam_matches_per_tensor_oracle(dtype, max_norm):
 def test_weight_gradients_are_written_into_their_arena_slots():
     # every matmul and conv weight's gradient is its slot itself, so Adam
     # copies none of them; a bias or gain arrives as its own array
-    model = build_model(micro_encoder(), micro_task().num_labels, seed=0)
+    model = build_model(encoder_of("quick"), task_of("quick").num_labels, seed=0)
     opt = Adam(model.parameters(), lr=1e-3)
-    feats, _, _ = generate_batch(micro_task(), np.random.default_rng(1), 2)
+    feats, _, _ = generate_batch(task_of("quick"), np.random.default_rng(1), 2)
     logits, _ = model.logits(feats)
     T.sum_(logits * logits).backward()
     weights = [i for i, (name, p) in enumerate(zip(opt.names, opt.params))
@@ -256,9 +253,9 @@ def test_training_with_gradient_slots_matches_the_copy_path(monkeypatch):
     # five micro steps (matmuls, input convs, experts) with and without the
     # slot writes: the same metric lines and weights, bit for bit
     cfg = TrainConfig(steps=5, batch_size=3, seed=4, clip_norm=0.5)
-    model, metrics = train(micro_encoder(), micro_task(), cfg)
+    model, metrics = train(encoder_of("quick"), task_of("quick"), cfg)
     monkeypatch.setattr(T, "_grad_out", lambda t, dtype: None)
-    twin, twin_metrics = train(micro_encoder(), micro_task(), cfg)
+    twin, twin_metrics = train(encoder_of("quick"), task_of("quick"), cfg)
     assert [metrics_line(m) for m in metrics] == [metrics_line(m) for m in twin_metrics]
     for (name, p), (_, q) in zip(model.parameters(), twin.parameters()):
         assert p.data.tobytes() == q.data.tobytes(), name
