@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ConformerLayerConfig, EncoderConfig, plan
+from .config import INPUT_KERNEL, ConformerLayerConfig, EncoderConfig, plan
 
 # published total of the dense baseline (configs/reference/b1.cfg), the
 # calibration point of ``fitted_remainder``
@@ -96,7 +96,7 @@ def count_params(config: EncoderConfig) -> ParamReport:
     }
     fe, ib = config.frontend, config.input_block
     components["frontend"].add(_linear_params(fe.stacked_dim, ib.out_dim))
-    components["frontend"].add(ib.num_convs * (ib.kernel * ib.out_dim**2 + ib.out_dim))
+    components["frontend"].add(ib.num_convs * (INPUT_KERNEL * ib.out_dim**2 + ib.out_dim))
 
     for stage in plan(config):
         bucket = components["causal_stack" if stage.layer.causal else "non_causal_stack"]
@@ -142,7 +142,7 @@ def _encoder_macs(config: EncoderConfig, dense: bool, frames, pairs,
     a stage's attention pairs."""
     config.validate()
     fe, ib = config.frontend, config.input_block
-    macs = frames(2) * (fe.stacked_dim * ib.out_dim + ib.num_convs * ib.kernel * ib.out_dim**2)
+    macs = frames(2) * (fe.stacked_dim * ib.out_dim + ib.num_convs * INPUT_KERNEL * ib.out_dim**2)
     n = frames(1)
     for stage in plan(config):
         if causal_only and not stage.layer.causal:
@@ -194,11 +194,11 @@ def total_macs(config: EncoderConfig, num_raw_frames: int, batch: int = 1,
 # published-size reproduction
 
 
-def fitted_remainder(counted_baseline_total: int,
-                     published_baseline_total: int) -> int:
+def fitted_remainder(baseline_config: EncoderConfig) -> int:
     """Additive constant for parameters outside the encoder (decoders,
-    output embeddings), calibrated once from the dense baseline."""
-    return published_baseline_total - counted_baseline_total
+    output embeddings): ``BASELINE_PUBLISHED`` less the counted total of the
+    dense baseline ``baseline_config``."""
+    return BASELINE_PUBLISHED - count_params(baseline_config).total_params
 
 
 def report_lines(report: ParamReport, remainder: int = 0) -> list[str]:

@@ -11,13 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .accounting import (
-    BASELINE_PUBLISHED,
-    count_params,
-    fitted_remainder,
-    report_kv,
-    report_lines,
-)
+from .accounting import count_params, fitted_remainder, report_kv, report_lines
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .config import encoder_from_flat, encoder_to_flat, parse_kv_file, parse_kv_text
 from .errors import CheckpointError, ConfigError, ParameterError, TrainingDiverged
@@ -126,9 +120,7 @@ def cmd_count_params(args) -> int:
     raw = parse_kv_file(args.config)
     remainder = 0
     if args.baseline_config is not None:
-        base_cfg = encoder_from_flat(parse_kv_file(args.baseline_config))
-        remainder = fitted_remainder(count_params(base_cfg).total_params,
-                                     args.baseline_total)
+        remainder = fitted_remainder(encoder_from_flat(parse_kv_file(args.baseline_config)))
     if any(key.startswith("encoder.") for key in raw):
         report = count_params(encoder_from_flat(raw))
         lines = report_lines(report, remainder) + report_kv(report, remainder)
@@ -190,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--baseline-config", default=None,
                          help="dense baseline for remainder calibration")
-    p_count.add_argument("--baseline-total", type=int, default=BASELINE_PUBLISHED,
-                         help="published total of the baseline, parameters")
     common(sub.add_parser("route-stats", help="per-expert routing record stream"),
            checkpoint=True)
     common(sub.add_parser("compare-adapter",

@@ -10,7 +10,10 @@ construction, the forward pass and parameter/MAC accounting all consume.
 Configs round-trip through flat ``key=value`` text files. ``ENCODER_KEYS``
 is the encoder's key table (type, default, description), which the reader,
 the writer and the README all follow; ``dataclass_from_flat`` reads any
-other section from its dataclass fields.
+other section from its dataclass fields. A value that no geometry varies is
+a constant, not a key: the layers of both stacks share one head count, conv
+kernel and left context, and every input block conv has ``INPUT_KERNEL``
+taps.
 """
 
 from __future__ import annotations
@@ -77,14 +80,16 @@ class FrontendConfig:
         return self.feature_dim * self.stack
 
 
+INPUT_KERNEL = 3  # kernel of every causal conv of the input block
+
+
 @dataclass
 class InputBlockConfig:
     out_dim: int
     num_convs: int = 3
-    kernel: int = 3
 
     def validate(self) -> None:
-        if self.out_dim < 1 or self.num_convs < 0 or self.kernel < 1:
+        if self.out_dim < 1 or self.num_convs < 0:
             raise ConfigError("input block dims must be positive")
 
 
@@ -185,7 +190,7 @@ REQUIRED = MISSING  # a key table default: the key must be given
 
 
 class Key(NamedTuple):  # one row of a key table
-    type: str        # "int", "float", "str", "bool" or "list[int]"
+    type: str        # "int", "float", "str" or "list[int]"
     default: object  # REQUIRED or the value
     doc: str = ""
 
@@ -195,29 +200,24 @@ _TYPES = {
     "int": (int, "integer"),
     "float": (float, "number"),
     "str": (str, "text"),
-    "bool": (lambda text: int(text) != 0, "integer"),
-    "list[int]": (lambda text: [int(p) for p in text.split(",") if p.strip()],
+    "list[int]": (lambda text: [int(p) for p in text.split(",")] if text.strip() else [],
                   "comma list of ints"),
 }
 
-# The encoder schema, in the order ``encoder_to_flat`` writes it. The
-# per-layer keys of a stack apply uniformly to its layers.
+# The encoder schema, in the order ``encoder_to_flat`` writes it. ffn_mult,
+# heads, conv_kernel and left_context apply to every layer of both stacks.
 ENCODER_KEYS = {
     "feature_dim": Key("int", REQUIRED, "raw feature width"),
     "frame_stack": Key("int", 1, "frames concatenated by the frontend (current + previous)"),
     "frame_downsample": Key("int", 1, "keep every n-th stacked frame"),
     "input_dim": Key("int", REQUIRED, "input block projection width"),
     "input_convs": Key("int", 3, "number of causal conv layers in the input block"),
-    "input_kernel": Key("int", 3, "input block conv kernel"),
     "ffn_mult": Key("int", 4, "feed-forward expansion"),
+    "heads": Key("int", 4, "attention heads"),
+    "conv_kernel": Key("int", 7, "depthwise conv kernel"),
+    "left_context": Key("int", 16, "attention left window, frames"),
     "causal_dims": Key("list[int]", REQUIRED, "comma list of causal layer widths"),
-    "causal_heads": Key("int", 4, "attention heads (causal stack)"),
-    "causal_kernel": Key("int", 7, "depthwise conv kernel (causal stack)"),
-    "causal_left_context": Key("int", 16, "attention left window, frames"),
     "noncausal_dims": Key("list[int]", (), "comma list of non-causal layer widths"),
-    "noncausal_heads": Key("int", 4, "attention heads (non-causal stack)"),
-    "noncausal_kernel": Key("int", 7, "depthwise conv kernel (non-causal stack)"),
-    "noncausal_left_context": Key("int", 16, "attention left window, frames"),
     "right_contexts": Key("list[int]", (), "comma list of future frames per non-causal layer "
                           "(all 0 if empty)"),
     "moe_placement": Key("str", "none", "one of " + ", ".join(MOE_PLACEMENTS)),
@@ -305,18 +305,18 @@ def encoder_from_flat(raw: dict[str, str], prefix: str = "encoder.") -> EncoderC
     elif v["adapter_groups"] != 0:
         raise ConfigError(f"{prefix}adapter_groups needs {prefix}adapter_dim >= 1")
 
-    def layer(stack, d, **kw):
+    def layer(d, **kw):
         return ConformerLayerConfig(
-            model_dim=d, ffn_mult=v["ffn_mult"], heads=v[f"{stack}_heads"],
-            conv_kernel=v[f"{stack}_kernel"], left_context=v[f"{stack}_left_context"], **kw)
+            model_dim=d, ffn_mult=v["ffn_mult"], heads=v["heads"],
+            conv_kernel=v["conv_kernel"], left_context=v["left_context"], **kw)
 
     placement = v["moe_placement"]
     cfg = EncoderConfig(
         frontend=FrontendConfig(v["feature_dim"], v["frame_stack"], v["frame_downsample"]),
-        input_block=InputBlockConfig(v["input_dim"], v["input_convs"], v["input_kernel"]),
-        causal=[layer("causal", d, causal=True) for d in v["causal_dims"]],
+        input_block=InputBlockConfig(v["input_dim"], v["input_convs"]),
+        causal=[layer(d, causal=True) for d in v["causal_dims"]],
         non_causal=[
-            layer("noncausal", d, right_context=rc, moe_placement=placement,
+            layer(d, right_context=rc, moe_placement=placement,
                   num_experts=v["num_experts"] if placement != "none" else 0,
                   expert_mult=v["expert_mult"])
             for d, rc in zip(nc_dims, rights)
@@ -332,27 +332,25 @@ def encoder_to_flat(cfg: EncoderConfig, prefix: str = "encoder.") -> str:
     """Serialize an EncoderConfig to flat key=value text: one line per
     ``ENCODER_KEYS`` entry, in table order.
 
-    Only geometries expressible in the flat schema round-trip: uniform
-    per-stack heads/kernels/contexts and uniform expert placement, which is
+    Only geometries expressible in the flat schema round-trip: one
+    feed-forward expansion, head count, conv kernel and left context for
+    every layer of both stacks, and uniform expert placement, which is
     everything the config files construct. Any other geometry (say, one
     layer with other heads) is a ConfigError, never a text that reads back
-    as another encoder. The per-layer keys of an empty stack are written
-    with their table defaults.
+    as another encoder.
     """
+    first = (cfg.causal + cfg.non_causal)[0]
     v = {name: key.default for name, key in ENCODER_KEYS.items()}
     v.update(feature_dim=cfg.frontend.feature_dim, frame_stack=cfg.frontend.stack,
              frame_downsample=cfg.frontend.downsample, input_dim=cfg.input_block.out_dim,
-             input_convs=cfg.input_block.num_convs, input_kernel=cfg.input_block.kernel,
-             ffn_mult=(cfg.causal + cfg.non_causal)[0].ffn_mult,
+             input_convs=cfg.input_block.num_convs, ffn_mult=first.ffn_mult,
+             heads=first.heads, conv_kernel=first.conv_kernel, left_context=first.left_context,
+             causal_dims=[l.model_dim for l in cfg.causal],
+             noncausal_dims=[l.model_dim for l in cfg.non_causal],
              right_contexts=[l.right_context for l in cfg.non_causal],
              moe_selector=cfg.moe_selector,
              adapter_dim=cfg.adapters.dim if cfg.adapters else 0,
              adapter_groups=cfg.adapters.num_groups if cfg.adapters else 0)
-    for stack, layers in (("causal", cfg.causal), ("noncausal", cfg.non_causal)):
-        v[f"{stack}_dims"] = [l.model_dim for l in layers]
-        if layers:
-            v.update({f"{stack}_heads": layers[0].heads, f"{stack}_kernel": layers[0].conv_kernel,
-                      f"{stack}_left_context": layers[0].left_context})
     if cfg.non_causal:
         n0 = cfg.non_causal[0]
         v.update(moe_placement=n0.moe_placement, num_experts=n0.num_experts,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import ConformerLayerConfig, EncoderConfig, plan
+from .config import INPUT_KERNEL, ConformerLayerConfig, EncoderConfig, plan
 from .errors import ParameterError
 from .moe import ExpertFFN, MoELayer, RoutingDecision, _grouped_dispatch
 from .tensor import Tensor
@@ -52,29 +52,6 @@ def positional_encoding(num_frames: int, dim: int, dtype=np.float32) -> Array:
     angle = pos / np.power(10000.0, (2 * (i // 2)) / max(dim, 1))
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     return table.astype(dtype)
-
-
-def spec_augment(features: Array, rng: np.random.Generator,
-                 num_freq_masks: int = 2, max_freq_width: int = 27,
-                 num_time_masks: int = 2, max_time_width: int = 50) -> Array:
-    """Zero random frequency bands and time spans of a (T, d) feature matrix.
-
-    Mask widths are uniform on [0, min(cap, axis length)]; zero-width masks
-    leave the input untouched. Deterministic under a seeded generator.
-    """
-    if features.ndim != 2:
-        raise ParameterError(f"spec_augment: expected (T, d) features, got {features.shape}")
-    t, d = features.shape
-    out = features.copy()
-    for _ in range(num_freq_masks):
-        width = int(rng.integers(0, min(max_freq_width, d) + 1))
-        start = int(rng.integers(0, d - width + 1)) if width else 0
-        out[:, start : start + width] = 0.0
-    for _ in range(num_time_masks):
-        width = int(rng.integers(0, min(max_time_width, t) + 1)) if t else 0
-        start = int(rng.integers(0, t - width + 1)) if width else 0
-        out[start : start + width, :] = 0.0
-    return out
 
 
 def attention_window_mask(num_frames: int, left: int, right: int) -> Array:
@@ -316,8 +293,8 @@ class EncoderModel:
         ib = config.input_block
         self.input_proj = _Linear(*make.linear("frontend.proj.", fe.stacked_dim, ib.out_dim))
         self.input_convs = [
-            (make.uniform(f"frontend.conv{i}.w", ib.kernel * ib.out_dim,
-                          ib.kernel, ib.out_dim, ib.out_dim),
+            (make.uniform(f"frontend.conv{i}.w", INPUT_KERNEL * ib.out_dim,
+                          INPUT_KERNEL, ib.out_dim, ib.out_dim),
              make.zeros(f"frontend.conv{i}.b", ib.out_dim))
             for i in range(ib.num_convs)
         ]

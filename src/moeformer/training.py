@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import EncoderConfig, dataclass_from_flat, encoder_to_flat
-from .encoder import EncoderModel, build_encoder, spec_augment
+from .encoder import EncoderModel, build_encoder
 from .errors import ConfigError, ParameterError, TrainingDiverged
 from .moe import aux_load_balance_loss, over_capacity_ratio
 from .synth import SyntheticTaskSpec, frame_targets, generate_batch
@@ -25,10 +25,6 @@ class TrainConfig:
     lr: float = 3e-3
     warmup_steps: int = 100
     aux_weight: float = 0.01
-    specaug: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0  # global gradient-norm ceiling; 0 disables
     seed: int = 0
     dtype: str = "float32"
@@ -36,14 +32,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be >= 1")
-        if not np.isfinite([self.lr, self.eps, self.aux_weight, self.clip_norm]).all():
-            raise ConfigError("lr, eps, aux_weight and clip_norm must be finite")
+        if not np.isfinite([self.lr, self.aux_weight, self.clip_norm]).all():
+            raise ConfigError("lr, aux_weight and clip_norm must be finite")
         if not (self.aux_weight >= 0 and self.clip_norm >= 0 and self.warmup_steps >= 0):
             raise ConfigError("aux_weight, clip_norm and warmup must be >= 0")
-        if not (self.lr > 0 and self.eps > 0):
-            raise ConfigError("lr and eps must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0")
         if self.seed < 0:
             raise ConfigError("train seed must be >= 0")
         if self.dtype not in ("float32", "float64"):
@@ -145,13 +139,13 @@ class Adam:
     parameter's ``data`` has been rebound.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, warmup_steps: int = 0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float, warmup_steps: int = 0):
         named = list(params)
         self.names = [name for name, _ in named]
         self.params = [p for _, p in named]
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.warmup_steps = warmup_steps
         self.t = 0
         dtypes = {p.dtype for p in self.params}
@@ -300,18 +294,13 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
 
     model = build_model(encoder_config, task.num_labels, train_cfg.seed,
                         train_cfg.np_dtype)
-    opt = Adam(model.parameters(), lr=train_cfg.lr, beta1=train_cfg.beta1,
-               beta2=train_cfg.beta2, eps=train_cfg.eps,
-               warmup_steps=train_cfg.warmup_steps)
+    opt = Adam(model.parameters(), lr=train_cfg.lr, warmup_steps=train_cfg.warmup_steps)
     batch_rng = np.random.default_rng([train_cfg.seed, 2])
-    aug_rng = np.random.default_rng([train_cfg.seed, 3])
     downsample = encoder_config.total_downsample
 
     metrics: list[dict] = []
     for step in range(train_cfg.steps):
         feats, labels, langs = generate_batch(task, batch_rng, train_cfg.batch_size)
-        if train_cfg.specaug:
-            feats = np.stack([spec_augment(f, aug_rng) for f in feats])
         targets = frame_targets(labels, downsample)
         logits, decisions = model.logits(feats, language_ids=langs if uses_adapters else None)
         ce = cross_entropy(logits, targets)

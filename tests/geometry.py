@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from pathlib import Path
 
-from moeformer.accounting import BASELINE_PUBLISHED, count_params, fitted_remainder
+from moeformer.accounting import fitted_remainder
 from moeformer.config import EncoderConfig, encoder_from_flat, parse_kv_file
 from moeformer.synth import SyntheticTaskSpec, task_from_flat
 
@@ -53,8 +53,7 @@ def calibrated_family() -> tuple[dict[str, EncoderConfig], int]:
     """The reference family and the parameter remainder outside the encoder
     that makes b1's count the published baseline."""
     family = reference_family()
-    return family, fitted_remainder(count_params(family["b1"]).total_params,
-                                    BASELINE_PUBLISHED)
+    return family, fitted_remainder(family["b1"])
 
 
 def _desk(name: str, section: str, keys: dict) -> dict[str, str]:

@@ -348,8 +348,8 @@ def test_criterion_10_streaming_invariants():
         cfg = encoder_of(
             "quick", input_dim=width // 2, causal_dims=",".join([str(width)] * causal_layers),
             noncausal_dims=",".join([str(8 * heads)] * layers),
-            right_contexts=("3", "2,2", "2,2,1")[layers - 1], causal_heads=heads,
-            noncausal_heads=heads, feature_dim=int(rng.integers(4, 10)),
+            right_contexts=("3", "2,2", "2,2,1")[layers - 1], heads=heads,
+            feature_dim=int(rng.integers(4, 10)),
             num_experts=int(rng.integers(2, 5)))
         model = build_encoder(cfg, seed=trial)
         t_raw = int(rng.integers(36, 56))

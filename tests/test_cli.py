@@ -129,8 +129,7 @@ def test_non_utf8_config_is_single_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("heads", [0, -4])
 def test_bad_heads_is_single_line_error(tmp_path, capsys, heads):
     bad = tmp_path / "heads.cfg"
-    bad.write_text(QUICK.read_text().replace("encoder.causal_heads=2",
-                                             f"encoder.causal_heads={heads}"))
+    bad.write_text(QUICK.read_text().replace("encoder.heads=2", f"encoder.heads={heads}"))
     code = main(["count-params", "--config", str(bad)])
     assert code == 1
     err = capsys.readouterr().err
@@ -206,18 +205,51 @@ def test_bad_config_echo_is_single_line_error(tmp_path, capsys):
         assert detail in err
 
 
+# the quick encoder's echo as written while each stack had its own heads,
+# kernel and left-context keys and the input block its own kernel key
+PER_STACK_ECHO = """\
+encoder.feature_dim=8
+encoder.frame_stack=2
+encoder.frame_downsample=2
+encoder.input_dim=8
+encoder.input_convs=2
+encoder.input_kernel=3
+encoder.ffn_mult=2
+encoder.causal_dims=16
+encoder.causal_heads=2
+encoder.causal_kernel=7
+encoder.causal_left_context=16
+encoder.noncausal_dims=24,24
+encoder.noncausal_heads=2
+encoder.noncausal_kernel=7
+encoder.noncausal_left_context=16
+encoder.right_contexts=2,2
+encoder.moe_placement=end
+encoder.moe_selector=all
+encoder.num_experts=2
+encoder.expert_mult=4
+encoder.adapter_dim=0
+encoder.adapter_groups=0
+"""
+
+
 @pytest.mark.parametrize("command", ["eval", "route-stats"])
 def test_echo_holding_a_removed_key_names_the_checkpoint(trained_dir, tmp_path, capsys,
                                                          command):
-    # the echo of a checkpoint written while these encoder keys still existed
+    # echoes of checkpoints written while these encoder keys still existed
     tensors, config_text, step = load_checkpoint(trained_dir / "checkpoint.bin")
     old = tmp_path / "old.bin"
-    save_checkpoint(tensors.items(), old, step=step, config_text=config_text
-                    + "encoder.stack_after=0\nencoder.moe_residual_scale=1.0\n")
-    code = main([command, "--config", str(QUICK), "--checkpoint", str(old), "--batches", "1"])
-    assert code == 1
-    _single_line_error(capsys, f"{old} config echo:", "encoder.stack_after",
-                       "encoder.moe_residual_scale")
+    for echo, removed in [
+        (config_text + "encoder.stack_after=0\nencoder.moe_residual_scale=1.0\n",
+         ("encoder.stack_after", "encoder.moe_residual_scale")),
+        (PER_STACK_ECHO,
+         ("encoder.causal_heads", "encoder.noncausal_kernel", "encoder.input_kernel")),
+    ]:
+        save_checkpoint(tensors.items(), old, step=step, config_text=echo)
+        code = main([command, "--config", str(QUICK), "--checkpoint", str(old),
+                     "--batches", "1"])
+        assert code == 1
+        _single_line_error(capsys, f"{old} config echo:", *removed)
 
 
 def _single_line_error(capsys, *details):
@@ -255,7 +287,7 @@ def test_negative_config_seed_is_single_line_error(tmp_path, capsys, key, value)
 @pytest.mark.parametrize("key, value", [
     ("train.clip_norm", "-1"), ("train.warmup", "-5"), ("train.beta1", "1.5"),
     ("train.beta2", "1"), ("train.capacity_factor", "0"), ("train.lr", "0"),
-    ("train.eps", "0"),
+    ("train.eps", "0"), ("train.specaug", "1"),
     # non-finite values would make training diverge at step 0 or 1; an
     # infinite clip_norm would disable clipping, which only 0 may do
     ("train.lr", "inf"), ("train.clip_norm", "inf"), ("train.aux_weight", "inf"),
@@ -304,12 +336,12 @@ def _config(path, values=None, drop=()):
 @pytest.mark.parametrize("command", ["eval", "route-stats"])
 def test_encoder_config_differing_from_the_echo_fails(trained_dir, tmp_path, capsys, command):
     # the tensor shapes match, but the attention windows are not the trained ones
-    windows = _config(tmp_path / "windows.cfg", {"encoder.noncausal_left_context": 0,
+    windows = _config(tmp_path / "windows.cfg", {"encoder.left_context": 0,
                                                    "encoder.right_contexts": "0,0"})
     code = main([command, "--config", str(windows), "--checkpoint",
                  str(trained_dir / "checkpoint.bin"), "--batches", "1"])
     assert code == 1
-    _single_line_error(capsys, "mismatch", "encoder.noncausal_left_context=0")
+    _single_line_error(capsys, "mismatch", "encoder.left_context=0")
 
 
 def test_encoder_config_matching_the_echo_in_another_spelling_evaluates(trained_dir, tmp_path,

@@ -47,8 +47,8 @@ def test_encoder_flat_roundtrip(cfg):
 @pytest.mark.parametrize("stack, field, value", [
     ("non_causal", "heads", 2), ("causal", "left_context", 8), ("non_causal", "num_experts", 3)])
 def test_echo_refuses_an_encoder_it_cannot_write_back(stack, field, value):
-    # the keys hold one value per stack; writing layer 0's would turn a
-    # checkpoint's layers 1-3 into other layers when its echo is read back
+    # the keys hold one value for every layer; writing layer 0's would turn
+    # a checkpoint's layers 1-3 into other layers when its echo is read back
     layers = getattr(BALANCE, stack)
     mixed = replace(BALANCE, **{stack: layers[:1] + [replace(l, **{field: value})
                                                      for l in layers[1:]]})
@@ -56,9 +56,28 @@ def test_echo_refuses_an_encoder_it_cannot_write_back(stack, field, value):
         checkpoint_config_text(mixed)
 
 
+def test_echo_refuses_stacks_with_other_heads():
+    # one heads key serves both stacks
+    mixed = replace(BALANCE, causal=[replace(l, heads=2) for l in BALANCE.causal])
+    with pytest.raises(ConfigError, match="per-layer settings"):
+        checkpoint_config_text(mixed)
+
+
 def test_echo_writes_every_key_in_table_order():
     names = [line.split("=", 1)[0] for line in encoder_to_flat(BALANCE).splitlines()]
     assert names == ["encoder." + k for k in ENCODER_KEYS]
+
+
+def test_every_encoder_key_varies_across_the_shipped_files():
+    # a key that every shipped geometry sets to one value is a constant
+    seen = {name: set() for name in ENCODER_KEYS}
+    for path in sorted((REPO / "configs").glob("*/*.cfg")):
+        raw = parse_kv_file(path)
+        for section in sorted({key.split(".", 1)[0] for key in raw} - {"task", "train"}):
+            echo = parse_kv_text(encoder_to_flat(encoder_from_flat(raw, section + ".")))
+            for name in ENCODER_KEYS:
+                seen[name].add(echo["encoder." + name])
+    assert [name for name, values in seen.items() if len(values) < 2] == []
 
 
 def _shown(default):
@@ -117,7 +136,7 @@ def test_train_and_task_defaults_live_in_their_dataclasses():
 def test_keys_of_an_empty_stack_are_accepted():
     text = encoder_to_flat(BALANCE).replace(
         "encoder.causal_dims=64,64,64", "encoder.causal_dims=")
-    assert "encoder.causal_heads=4" in text
+    assert "encoder.heads=4" in text
     assert encoder_from_flat(parse_kv_text(text)) == encoder_of("balance", causal_dims="")
 
 
@@ -146,6 +165,12 @@ def test_unknown_keys_rejected():
     text = encoder_to_flat(BALANCE) + "encoder.typo=3\n"
     with pytest.raises(ConfigError, match="typo"):
         encoder_from_flat(parse_kv_text(text))
+
+
+@pytest.mark.parametrize("dims", ["64,,64", "16,", ",16", " , "])
+def test_int_list_refuses_empty_items(dims):
+    with pytest.raises(ConfigError, match="causal_dims: expected comma list of ints"):
+        encoder_of("balance", causal_dims=dims)
 
 
 def test_missing_required_key_rejected():

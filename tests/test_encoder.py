@@ -13,7 +13,6 @@ from moeformer.encoder import (
     attention_window_mask,
     build_encoder,
     frame_stack,
-    spec_augment,
 )
 from moeformer.training import build_model
 from moeformer.tensor import Tensor, mean
@@ -58,37 +57,6 @@ def test_frame_stack_empty_input():
 def test_frame_stack_invalid_args():
     with pytest.raises(ParameterError):
         frame_stack(np.zeros((3, 2)), stack=0, downsample=1)
-
-
-# --------------------------------------------------------------------------
-# spec_augment
-
-
-def test_spec_augment_zero_width_masks_leave_input():
-    class ZeroRng:
-        def integers(self, lo, hi):
-            return 0
-
-    x = np.random.default_rng(2).standard_normal((20, 10))
-    out = spec_augment(x, ZeroRng())
-    np.testing.assert_array_equal(out, x)
-
-
-def test_spec_augment_unmasked_cells_identical_and_bounded():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((60, 12))
-    out = spec_augment(x, np.random.default_rng(7))
-    changed = out != x
-    assert np.all(out[~changed] == x[~changed])
-    assert np.all(out[changed] == 0.0)
-    assert changed.sum() <= 2 * 27 * 60 + 2 * 50 * 12
-
-
-def test_spec_augment_deterministic_under_seed():
-    x = np.random.default_rng(4).standard_normal((30, 8))
-    a = spec_augment(x, np.random.default_rng(11))
-    b = spec_augment(x, np.random.default_rng(11))
-    np.testing.assert_array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +200,7 @@ def test_streaming_invariants_random_configs():
         cfg = encoder_of(
             "quick", input_dim=width // 2, causal_dims=",".join([str(width)] * causal_layers),
             noncausal_dims=",".join([str(8 * heads)] * layers),
-            right_contexts=("3", "2,2")[layers - 1], causal_heads=heads, noncausal_heads=heads,
+            right_contexts=("3", "2,2")[layers - 1], heads=heads,
             feature_dim=int(rng.integers(4, 9)), num_experts=int(rng.integers(2, 4)))
         model = build_encoder(cfg, seed=trial)
         raw = rng.standard_normal((40, cfg.frontend.feature_dim)).astype(np.float32)
