@@ -4,6 +4,7 @@ float32 data). Round trips are bit-exact for float32 models."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from .tensor import Tensor
 
 MAGIC = b"MOEF"
 FORMAT_VERSION = 1
+MAX_RANK = 32  # the most axes numpy 1.x arrays can have
 
 
 def save_checkpoint(params, path, config_text: str = "", step: int = 0) -> None:
@@ -56,41 +58,40 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{self.path}: {what} is not valid UTF-8") from exc
 
-    def u8(self, what):
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt: str, what: str) -> int:
+        """The one integer of the ``struct`` format ``fmt``, read next."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def load_checkpoint(path):
-    """Read a checkpoint: (tensors dict[str, np.ndarray], config_text, step)."""
+    """Read a checkpoint: (tensors dict[str, np.ndarray], config_text, step).
+
+    A malformed record or a tensor holding NaN or inf is a CheckpointError
+    naming the tensor."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob, path)
     if r.take(4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version = r.u32("version")
+    version = r.unpack("<I", "version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    step = r.u64("step")
-    config_text = r.text(r.u32("config length"), "config")
+    step = r.unpack("<Q", "step")
+    config_text = r.text(r.unpack("<I", "config length"), "config")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(r.u32("tensor count")):
-        name = r.text(r.u16("name length"), "tensor name")
-        rank = r.u8(f"rank of {name}")
-        shape = tuple(r.u32(f"dims of {name}") for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * count, f"data of {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    for _ in range(r.unpack("<I", "tensor count")):
+        name = r.text(r.unpack("<H", "name length"), "tensor name")
+        rank = r.unpack("<B", f"rank of {name!r}")
+        if rank > MAX_RANK:
+            raise CheckpointError(f"{path}: rank {rank} of {name!r} exceeds {MAX_RANK}")
+        shape = tuple(r.unpack("<I", f"dims of {name!r}") for _ in range(rank))
+        raw = r.take(4 * math.prod(shape), f"data of {name!r}")
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
+        tensors[name] = data
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes")
     return tensors, config_text, step
@@ -119,14 +120,14 @@ def copy_into(named_params, tensors: dict[str, np.ndarray], path) -> None:
         extra = sorted(set(tensors) - set(params))
         detail = []
         if missing:
-            detail.append(f"missing from file: {missing[0]}")
+            detail.append(f"missing from file: {missing[0]!r}")
         if extra:
-            detail.append(f"unexpected in file: {extra[0]}")
+            detail.append(f"unexpected in file: {extra[0]!r}")
         raise CheckpointError(f"{path}: tensor names do not match ({'; '.join(detail)})")
     for name, tensor in params.items():
         if tensors[name].shape != tensor.shape:
             raise CheckpointError(
-                f"{path}: shape mismatch for {name}: file has "
+                f"{path}: shape mismatch for {name!r}: file has "
                 f"{tensors[name].shape}, model expects {tensor.shape}"
             )
     for name, tensor in params.items():

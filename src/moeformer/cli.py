@@ -8,8 +8,11 @@ exits 0 on success and 1 with a one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .accounting import count_params, fitted_remainder, report_kv, report_lines
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
@@ -94,9 +97,10 @@ def _restore_model(args):
             if ours != theirs:
                 raise ConfigError(f"encoder mismatch: {args.config} has {ours}, "
                                   f"the checkpoint's echo {theirs}")
-    if "head.w" not in tensors:
+    head = tensors.get("head.w")
+    if head is None or head.ndim != 2:
         raise CheckpointError(f"{args.checkpoint}: no classification head found")
-    num_labels = tensors["head.w"].shape[1]
+    num_labels = head.shape[1]
     check_task_fit(encoder_cfg, task)
     if num_labels != task.num_labels:
         raise ConfigError(f"{args.checkpoint}: the classification head has {num_labels} "
@@ -106,10 +110,23 @@ def _restore_model(args):
     return model, task, step
 
 
+@contextlib.contextmanager
+def _finite_forward(checkpoint):
+    """Make a forward pass of the restored model that overflows or yields NaN,
+    which numpy only warns about, a CheckpointError: finite weights can still
+    be too large to evaluate."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CheckpointError(f"{checkpoint}: evaluating its weights gives {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     model, task, step = _restore_model(args)
-    result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
-                      seed=1234 if args.seed is None else args.seed)
+    with _finite_forward(args.checkpoint):
+        result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
+                          seed=1234 if args.seed is None else args.seed)
     lines = [f"checkpoint_step={step}", f"accuracy={result.accuracy:.4f}"]
     lines.extend(result.routing.lines())
     _emit(lines, _out_dir(args), "eval.txt")
@@ -136,8 +153,10 @@ def cmd_count_params(args) -> int:
 
 def cmd_route_stats(args) -> int:
     model, task, _ = _restore_model(args)
-    lines = routing_stream(model, task, num_batches=args.batches, batch_size=args.batch_size,
-                           seed=1234 if args.seed is None else args.seed)
+    with _finite_forward(args.checkpoint):
+        lines = routing_stream(model, task, num_batches=args.batches,
+                               batch_size=args.batch_size,
+                               seed=1234 if args.seed is None else args.seed)
     _emit(lines, _out_dir(args), "route_stats.txt")
     return 0
 

@@ -129,19 +129,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -150,9 +141,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return scale(self, 1.0 / float(other))
         raise ParameterError("tensor division is only supported by python scalars")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Backpropagate from this scalar node to every reachable parameter."""
@@ -183,17 +171,6 @@ class Tensor:
                     node._backward(node.grad)
                 node.grad = None
             node._grad_slice = None
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
-def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from array-like data, float32 unless told otherwise."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], None]) -> Tensor:
@@ -280,8 +257,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # arithmetic
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -294,21 +270,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise ParameterError(f"sub: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
     except ValueError as exc:
@@ -427,17 +389,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g: Array) -> None:
-        _accum(x, g.transpose(inverse))
-
-    return _make(data, (x,), backward)
-
-
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """(B, T, d) -> (B, heads, T, d // heads): each head's channels as one
     axis, a view of ``x``; one node for a reshape and a transpose."""
@@ -479,7 +430,6 @@ def slice_axis(x: Tensor, axis: int, start=None, stop=None, step=None) -> Tensor
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ParameterError("concat: need at least one tensor")
     try:
@@ -513,15 +463,6 @@ def _sigmoid_values(x: Array) -> Array:
     return np.true_divide(1.0, s, out=s)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid_values(x.data)
-
-    def backward(g: Array) -> None:
-        _accum(x, g * data * (1.0 - data))
-
-    return _make(data, (x,), backward)
-
-
 def swish(x: Tensor) -> Tensor:
     s = _sigmoid_values(x.data)
     data = x.data * s
@@ -540,7 +481,7 @@ def swish(x: Tensor) -> Tensor:
 def glu(x: Tensor) -> Tensor:
     """Gated linear unit over the last axis: ``a * sigmoid(b)`` for the two
     halves ``a``, ``b`` of ``x``, as one node. Equal, bit for bit, to two
-    ``slice_axis`` nodes, a ``sigmoid`` and a ``mul``; the input gradient
+    ``slice_axis`` nodes, a sigmoid node and a ``mul``; the input gradient
     adds both halves into zeros as the slices' backward did (-0.0 becomes
     +0.0)."""
     if x.ndim < 1 or x.shape[-1] % 2:

@@ -330,16 +330,25 @@ def glu(x):
     return T.slice_axis(x, -1, 0, d) * sigmoid_node(T.slice_axis(x, -1, d, 2 * d))
 
 
+def _swap_axes_1_2(x):
+    """A transpose node for axes (0, 2, 1, 3), its own inverse."""
+
+    def backward(g):
+        T._accum(x, g.transpose(0, 2, 1, 3))
+
+    return T._make(x.data.transpose(0, 2, 1, 3), (x,), backward)
+
+
 def split_heads(x, heads):
     """``tensor.split_heads`` as a reshape and a transpose."""
     b, t, d = x.shape
-    return T.transpose(T.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
+    return _swap_axes_1_2(T.reshape(x, (b, t, heads, d // heads)))
 
 
 def merge_heads(x):
     """``tensor.merge_heads`` as a transpose and a reshape."""
     b, h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
+    return T.reshape(_swap_axes_1_2(x), (b, t, h * dh))
 
 
 def add_scaled(x, h, c):

@@ -1,5 +1,7 @@
 """Checkpoint format tests: bit-exact round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,32 @@ def test_truncated_file_is_an_error_not_a_crash(tmp_path):
         clipped.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(clipped)
+
+
+@pytest.mark.parametrize("record", [bytes([65]), bytes([4]) + struct.pack("<4I", *[1 << 16] * 4)],
+                         ids=["rank 65", "dims whose product passes int64"])
+def test_malformed_record_is_a_checkpoint_error(tmp_path, record):
+    _, model = small_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.parameters(), path)
+    first = next(iter(model.parameters()))[0]
+    blob = bytearray(path.read_bytes())
+    # magic, version, step, empty echo, tensor count, name length, name
+    rank_at = 4 + 4 + 8 + 4 + 4 + 2 + len(first)
+    blob[rank_at : rank_at + len(record)] = record
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"of {first!r}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weights_are_refused(tmp_path, value):
+    _, model = small_model()
+    dict(model.parameters())["head.w"].data[1, 2] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.parameters(), path)
+    with pytest.raises(CheckpointError, match="'head.w' holds NaN or inf"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

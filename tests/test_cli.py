@@ -11,6 +11,9 @@ import pytest
 from moeformer import checkpoint, cli
 from moeformer.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from moeformer.cli import main
+from moeformer.config import encoder_from_flat, parse_kv_file
+from moeformer.synth import task_from_flat
+from moeformer.training import build_model, checkpoint_config_text
 
 REPO = Path(__file__).resolve().parent.parent
 QUICK = REPO / "configs" / "desk" / "quick.cfg"
@@ -163,6 +166,86 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     code = main(["eval", "--config", str(QUICK), "--checkpoint", str(stub)])
     assert code == 1
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """An untrained quick.cfg checkpoint and the byte ranges of its fields."""
+    raw = parse_kv_file(QUICK)
+    cfg = encoder_from_flat(raw)
+    model = build_model(cfg, task_from_flat(raw).num_labels, seed=0)
+    path = tmp_path_factory.mktemp("untrained") / "checkpoint.bin"
+    echo = checkpoint_config_text(cfg)
+    save_checkpoint(model.parameters(), path, config_text=echo)
+    # magic, version, step, echo length, echo, tensor count
+    pos = 4 + 4 + 8 + 4 + len(echo.encode()) + 4
+    fields = {"header": [(0, pos)], "name": [], "rank and dims": [], "data": []}
+    for name, p in model.parameters():
+        for field, size in (("name", 2 + len(name.encode())), ("rank and dims", 1 + 4 * p.ndim),
+                            ("data", 4 * p.size)):
+            fields[field].append((pos, pos + size))
+            pos += size
+    assert pos == path.stat().st_size
+    return path, fields
+
+
+def _corrupt(blob, fields, kind, rng):
+    if kind == "truncation":
+        return blob[: int(rng.integers(len(blob)))]
+    if kind == "appended":
+        return blob + rng.bytes(int(rng.integers(1, 64)))
+    out = bytearray(blob)
+    ranges = fields[kind]
+    for _ in range(int(rng.integers(1, 4))):
+        lo, hi = ranges[int(rng.integers(len(ranges)))]
+        out[int(rng.integers(lo, hi))] ^= int(rng.integers(1, 256))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("command", ["eval", "route-stats"])
+@pytest.mark.parametrize("edit", [
+    lambda t: t.update({"head\x1db": t.pop("head.b")}),  # a name splitlines() would break
+    lambda t: t.update({"head.w": t["head.w"].reshape(-1)}),
+    lambda t: t.update({"frontend.conv0.w": t["frontend.conv0.w"] * 1e30}),
+], ids=["control character in a name", "head of rank 1", "finite weights that overflow"])
+def test_unusable_tensors_are_single_line_error(untrained, tmp_path, capsys, edit, command):
+    tensors, echo, _ = load_checkpoint(untrained[0])
+    edit(tensors)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(tensors.items(), bad, config_text=echo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(QUICK), "--checkpoint", str(bad), "--batches", "1"])
+    assert code == 1
+    _single_line_error(capsys)
+
+
+# kind: (seed, cases); byte flips XOR one to three bytes of the kind's fields
+CORRUPTIONS = {"header": (1, 40), "name": (2, 40), "rank and dims": (3, 60),
+               "data": (4, 40), "truncation": (5, 20), "appended": (6, 10)}
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupt_checkpoint_evaluates_or_gives_one_line(untrained, tmp_path, capsys, kind):
+    path, fields = untrained
+    blob = path.read_bytes()
+    seed, cases = CORRUPTIONS[kind]
+    rng = np.random.default_rng(seed)
+    bad = tmp_path / "bad.bin"
+    for case in range(cases):
+        bad.write_bytes(_corrupt(blob, fields, kind, rng))
+        try:
+            # a numpy warning would reach the stderr of a command-line run
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["eval", "--config", str(QUICK), "--checkpoint", str(bad),
+                             "--batches", "1", "--batch-size", "2"])
+        except Exception as exc:
+            pytest.fail(f"{kind} case {case}: {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert (code == 0 and err == "") or (
+            code == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
+        ), f"{kind} case {case}: exit {code}, stderr {err!r}"
 
 
 def test_seed_zero_is_passed_through(trained_dir, monkeypatch):

@@ -15,7 +15,7 @@ from moeformer.evaluation import (
 )
 from moeformer.moe import MoELayer, route_top2
 from moeformer.synth import SyntheticTaskSpec, generators_for
-from moeformer.tensor import Tensor
+from moeformer.tensor import Tensor, matmul, softmax
 from moeformer.training import TrainConfig, TrainedModel, build_model, train
 
 from geometry import CONFIGS, encoder_of, task_of
@@ -51,9 +51,7 @@ def test_oracle_gate_routing_reaches_log2_k():
     for lang in range(k):
         base = gen.language_offsets[lang]
         feats = base + task.noise_scale * rng.standard_normal((frames_per_lang, 16))
-        gates = Tensor(feats) @ gate_w
-        from moeformer.tensor import softmax
-
+        gates = matmul(Tensor(feats), gate_w)
         decision = route_top2(softmax(gates, axis=1))
         np.add.at(joint, (np.full(frames_per_lang, lang), decision.top2_idx[:, 0]), 1)
     assert joint.sum() >= 10_000

@@ -14,7 +14,7 @@ from moeformer.moe import (
     route_top2,
     routing_records,
 )
-from moeformer.tensor import Tensor, concat, mean, slice_axis, sum_, tensor
+from moeformer.tensor import Tensor, concat, mean, slice_axis, sum_
 
 import oracles
 
@@ -96,19 +96,19 @@ def test_gate_dimension_mismatch():
 
 
 def test_route_tie_break():
-    d = route_top2(tensor([[0.1, 0.4, 0.25, 0.25]]))
+    d = route_top2(Tensor([[0.1, 0.4, 0.25, 0.25]]))
     assert d.top2_idx[0].tolist() == [1, 2]
     np.testing.assert_allclose(d.top2_gates.data[0], [0.4, 0.25])
 
 
 def test_route_one_hot_gates_second_slot_from_zero_tie():
-    d = route_top2(tensor([[1.0, 0.0, 0.0, 0.0]]))
+    d = route_top2(Tensor([[1.0, 0.0, 0.0, 0.0]]))
     assert d.top2_idx[0].tolist() == [0, 1]
     np.testing.assert_allclose(d.top2_gates.data[0], [1.0, 0.0])
 
 
 def test_route_uniform_gates_counts():
-    gates = tensor(np.full((10, 4), 0.25))
+    gates = Tensor(np.full((10, 4), 0.25, np.float32))
     d = route_top2(gates)
     assert d.counts.tolist() == [10, 10, 0, 0]
     assert d.counts.sum() == 2 * d.num_frames
@@ -140,7 +140,7 @@ def test_route_selection_invariant_under_logit_shift():
 
 def test_route_rejects_single_expert():
     with pytest.raises(ConfigError):
-        route_top2(tensor(np.ones((3, 1))))
+        route_top2(Tensor(np.ones((3, 1), np.float32)))
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_route_rejects_single_expert():
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_aux_loss_uniform_exact(n):
-    gates = tensor(np.full((4 * n, n), 1.0 / n))
+    gates = Tensor(np.full((4 * n, n), 1.0 / n, np.float32))
     # lowest-index tie break concentrates counts, so build balanced counts by hand
     d = route_top2(gates)
     balanced = np.full(n, 2 * d.num_frames // n, dtype=np.int64)
@@ -200,7 +200,7 @@ def test_aux_loss_gradient_flows_through_gates_only():
 
 
 def test_over_capacity_balanced_is_zero():
-    gates = tensor(np.full((8, 4), 0.25))
+    gates = Tensor(np.full((8, 4), 0.25, np.float32))
     d = route_top2(gates)
     d = RoutingDecision(d.top2_idx, d.top2_gates, d.gates, np.array([4, 4, 4, 4]), 8)
     ratios = over_capacity_ratio(d)
@@ -210,8 +210,8 @@ def test_over_capacity_balanced_is_zero():
 def test_over_capacity_hand_case():
     d = RoutingDecision(
         top2_idx=np.zeros((10, 2), dtype=np.int64),
-        top2_gates=tensor(np.zeros((10, 2))),
-        gates=tensor(np.zeros((10, 4))),
+        top2_gates=Tensor(np.zeros((10, 2), np.float32)),
+        gates=Tensor(np.zeros((10, 4), np.float32)),
         counts=np.array([6, 6, 5, 3]),
         num_frames=10,
     )
@@ -222,8 +222,8 @@ def test_over_capacity_hand_case():
 def test_over_capacity_maximal_skew():
     d = RoutingDecision(
         top2_idx=np.tile([0, 1], (10, 1)).astype(np.int64),
-        top2_gates=tensor(np.zeros((10, 2))),
-        gates=tensor(np.zeros((10, 4))),
+        top2_gates=Tensor(np.zeros((10, 2), np.float32)),
+        gates=Tensor(np.zeros((10, 4), np.float32)),
         counts=np.array([10, 10, 0, 0]),
         num_frames=10,
     )
