@@ -8,7 +8,6 @@ exits 0 on success and 1 with a one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
@@ -110,23 +109,10 @@ def _restore_model(args):
     return model, task, step
 
 
-@contextlib.contextmanager
-def _finite_forward(checkpoint):
-    """Make a forward pass of the restored model that overflows or yields NaN,
-    which numpy only warns about, a CheckpointError: finite weights can still
-    be too large to evaluate."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise CheckpointError(f"{checkpoint}: evaluating its weights gives {exc}") from exc
-
-
 def cmd_eval(args) -> int:
     model, task, step = _restore_model(args)
-    with _finite_forward(args.checkpoint):
-        result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
-                          seed=1234 if args.seed is None else args.seed)
+    result = evaluate(model, task, num_batches=args.batches, batch_size=args.batch_size,
+                      seed=1234 if args.seed is None else args.seed)
     lines = [f"checkpoint_step={step}", f"accuracy={result.accuracy:.4f}"]
     lines.extend(result.routing.lines())
     _emit(lines, _out_dir(args), "eval.txt")
@@ -153,10 +139,8 @@ def cmd_count_params(args) -> int:
 
 def cmd_route_stats(args) -> int:
     model, task, _ = _restore_model(args)
-    with _finite_forward(args.checkpoint):
-        lines = routing_stream(model, task, num_batches=args.batches,
-                               batch_size=args.batch_size,
-                               seed=1234 if args.seed is None else args.seed)
+    lines = routing_stream(model, task, num_batches=args.batches, batch_size=args.batch_size,
+                           seed=1234 if args.seed is None else args.seed)
     _emit(lines, _out_dir(args), "route_stats.txt")
     return 0
 
@@ -176,8 +160,17 @@ def cmd_compare_adapter(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``ConfigError``s, so that a bad
+    command line gets ``main``'s one-line diagnostic and exit 1 instead of
+    argparse's usage block and exit 2; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moeformer",
         description="Expert-routed Conformer encoders: train, evaluate, and count.",
     )
@@ -226,10 +219,17 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
-        return HANDLERS[args.command](args)
+        # an overflow or NaN, which numpy only warns about, ends the command:
+        # finite weights (trained with too large a step, or read from a
+        # checkpoint) can still be too large to compute with
+        with np.errstate(over="raise", invalid="raise"):
+            return HANDLERS[args.command](args)
+    except FloatingPointError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ParameterError, CheckpointError, TrainingDiverged,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

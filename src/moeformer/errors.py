@@ -14,4 +14,4 @@ class CheckpointError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""

@@ -257,7 +257,14 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # arithmetic
 
 
+def _tensors(op: str, a, b) -> None:
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise ParameterError(
+            f"{op}: operands must be Tensors, got {type(a).__name__} and {type(b).__name__}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _tensors("add", a, b)
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -271,6 +278,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _tensors("mul", a, b)
     try:
         data = a.data * b.data
     except ValueError as exc:

@@ -5,6 +5,8 @@ line-oriented metrics, and deterministic batching.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +117,9 @@ def frame_accuracy(logits: Tensor, targets: np.ndarray) -> float:
 
 # elements per vector pass of the optimizer: the working set of one chunk
 # (gradient, moments, parameters, two scratch rows: 1.5 MB in float32) stays
-# in the L2 cache across the chunk's 14 passes
+# in the L2 cache across the chunk's 10 passes
 _CHUNK = 65536
+_GRAD, _DATA = operator.attrgetter("grad"), operator.attrgetter("data")
 
 
 class Adam:
@@ -130,13 +133,22 @@ class Adam:
     slot: a backward pass writes a weight's first matmul or conv gradient
     straight into it, and ``_gather`` copies in only the gradients that
     arrived as other arrays (a bias, a parameter used twice, a gradient
-    set by hand). A step is a few in-place vector passes over
-    cache-sized chunks of consecutive parameters that have a gradient, with
-    the per-element arithmetic of a per-tensor update. A parameter whose
-    ``grad`` is None keeps its values and both moments. Parameter values
-    must be written in place (``p.data[...] = values``, as
+    set by hand). A step is 10 in-place vector passes over each cache-sized
+    chunk of the runs of consecutive parameters that have a gradient. A
+    parameter whose ``grad`` is None keeps its values and both moments.
+    Parameter values must be written in place (``p.data[...] = values``, as
     ``checkpoint.load_into`` does); a step raises ``ParameterError`` once a
     parameter's ``data`` has been rebound.
+
+    The update is Kingma & Ba's efficient form (2015, section 2), with the
+    moments kept scaled: ``m`` holds ``M = m_t / (1 - beta1)`` and ``v``
+    holds ``V = v_t / (1 - beta2)``, where ``m_t`` and ``v_t`` are the
+    textbook moment estimates. Then ``M <- beta1 M + g``,
+    ``V <- beta2 V + g^2`` and ``p <- p - a M / (sqrt(V) + e)``, with
+    ``a = lr (1 - beta1) / c1 sqrt(c2 / (1 - beta2))`` and
+    ``e = eps sqrt(c2 / (1 - beta2))`` for the bias corrections
+    ``c1 = 1 - beta1^t`` and ``c2 = 1 - beta2^t``. That is the textbook
+    update up to rounding: a few ulp per step, not bit for bit.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -159,32 +171,34 @@ class Adam:
         size = self.offsets[-1]
         self.data = np.empty(size, dtype)
         self.grad = np.empty(size, dtype)  # a step reads only the slots it copied in
-        self.m = np.zeros(size, dtype)
-        self.v = np.zeros(size, dtype)
-        self._views, self._grads = [], []
+        self.m = np.zeros(size, dtype)  # M = m_t / (1 - beta1)
+        self.v = np.zeros(size, dtype)  # V = v_t / (1 - beta2)
+        self._views, self._grads, self._flat_grads = [], [], []
         for p, lo, hi in zip(self.params, self.offsets, self.offsets[1:]):
             view = self.data[lo:hi].reshape(p.shape)
             view[...] = p.data
             p.data = view
             self._views.append(view)
-            self._grads.append(self.grad[lo:hi].reshape(p.shape))
+            self._flat_grads.append(self.grad[lo:hi])
+            self._grads.append(self._flat_grads[-1].reshape(p.shape))
             p.grad_slot = self._grads[-1]
-        width = max([_CHUNK] + [p.size for p in self.params])
-        self._scratch = np.empty((2, width), dtype)
-        self._squares = np.empty(width, np.float64)
+        self._scratch = np.empty((2, min(_CHUNK, size)), dtype)
+        self._plan = None  # the last _gather's result until a step uses it
+        self._planned: list = []  # every p.grad as that _gather left it
 
     def current_lr(self) -> float:
         if self.warmup_steps and self.t < self.warmup_steps:
             return self.lr * (self.t + 1) / self.warmup_steps
         return self.lr
 
-    def _gather(self) -> list[tuple[int, int, list[int]]]:
+    def _gather(self) -> tuple[list[int], list[list[int]]]:
         """Copy each gradient not yet in the flat buffer into its slot and
-        point ``p.grad`` at that slot. Returns ``(lo, hi, cuts)`` chunks of
-        consecutive parameters that have a gradient, each at most
-        ``_CHUNK`` elements unless one parameter is larger; ``cuts`` are the
-        parameter boundaries in ``[lo, hi]``."""
-        chunks: list[tuple[int, int, list[int]]] = []
+        point ``p.grad`` at that slot. Returns the plan of a step: the
+        indices of the parameters that have a gradient, and the ``[lo, hi)``
+        runs of consecutive such parameters in the flat buffers. ``step``
+        reuses it while no ``p.grad`` or ``p.data`` has been rebound."""
+        present: list[int] = []
+        runs: list[list[int]] = []
         for i, p in enumerate(self.params):
             if p.data is not self._views[i]:
                 raise ParameterError(
@@ -196,64 +210,91 @@ class Adam:
             if p.grad is not self._grads[i]:
                 self._grads[i][...] = p.grad
                 p.grad = self._grads[i]
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            if chunks and chunks[-1][1] == lo and hi - chunks[-1][0] <= _CHUNK:
-                start, _, cuts = chunks[-1]
-                cuts.append(hi)
-                chunks[-1] = (start, hi, cuts)
+            present.append(i)
+            if runs and runs[-1][1] == self.offsets[i]:
+                runs[-1][1] = self.offsets[i + 1]
             else:
-                chunks.append((lo, hi, [lo, hi]))
-        return chunks
+                runs.append([self.offsets[i], self.offsets[i + 1]])
+        self._plan = present, runs
+        self._planned = list(map(_GRAD, self.params))
+        return self._plan
+
+    def _current_plan(self) -> tuple[list[int], list[list[int]]]:
+        """The plan of the last ``_gather`` while every ``p.grad`` and
+        ``p.data`` is still what it left; otherwise a new ``_gather``."""
+        plan, self._plan = self._plan, None
+        if plan is None or not (
+                all(map(operator.is_, map(_GRAD, self.params), self._planned))
+                and all(map(operator.is_, map(_DATA, self.params), self._views))):
+            plan, self._plan = self._gather(), None
+        return plan
 
     def step(self) -> float:
-        chunks = self._gather()
+        _, runs = self._current_plan()
         lr = self.current_lr()
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        # m = b1 * m + (1 - b1) * g
-        # v = b2 * v + (1 - b2) * (g * g)
-        # p = p - lr * ((m / c1) / (sqrt(v / c2) + eps))
-        # one ufunc per operation, in this order and in the parameter dtype
-        for lo, hi, _ in chunks:
-            g, m, v, p = self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.data[lo:hi]
-            s, u = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1 - b1, out=s)
-            np.add(m, s, out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, g, out=s)
-            np.multiply(s, 1 - b2, out=s)
-            np.add(v, s, out=v)
-            np.divide(v, c2, out=s)
-            np.sqrt(s, out=s)
-            np.add(s, eps, out=s)
-            np.divide(m, c1, out=u)
-            np.divide(u, s, out=u)
-            np.multiply(u, lr, out=u)
-            np.subtract(p, u, out=p)
+        # Python floats: a numpy float64 scalar would send float32 passes
+        # through a casting loop
+        root = math.sqrt(c2 / (1.0 - b2))
+        alpha = lr * (1.0 - b1) / c1 * root
+        eps = self.eps * root
+        # M = b1 * M + g
+        # V = b2 * V + g * g
+        # p = p - (alpha * M) / (sqrt(V) + eps)
+        for run_lo, run_hi in runs:
+            for lo in range(run_lo, run_hi, _CHUNK):
+                hi = min(lo + _CHUNK, run_hi)
+                g, m, v, p = self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.data[lo:hi]
+                s, u = self._scratch[0, : hi - lo], self._scratch[1, : hi - lo]
+                np.multiply(m, b1, out=m)
+                np.add(m, g, out=m)
+                np.multiply(v, b2, out=v)
+                np.square(g, out=s)
+                np.add(v, s, out=v)
+                np.sqrt(v, out=s)
+                np.add(s, eps, out=s)
+                np.multiply(m, alpha, out=u)
+                np.divide(u, s, out=u)
+                np.subtract(p, u, out=p)
         return lr
 
 
 def clip_gradients(opt: Adam, max_norm: float) -> float:
     """Scale the optimizer's gradients so their global L2 norm is at most
-    ``max_norm`` (0 disables scaling).
+    ``max_norm`` (0 disables scaling), and plan the optimizer's next step.
 
     Returns the pre-clip norm. Keeps late training stable once the loss is
-    tiny and the adaptive denominators have decayed. Each parameter's
-    squares are summed on their own in float64 and the sums added in
-    parameter order, so the norm is that of a per-tensor loop."""
-    chunks = opt._gather()
+    tiny and the adaptive denominators have decayed. Each parameter's sum
+    of squares is one BLAS dot in the parameter dtype, and the sums are
+    added as Python floats in parameter order: within a relative 1e-6 of
+    float64 squares in float32, 1e-12 in float64. A norm that is not finite
+    raises ``TrainingDiverged`` naming the first parameter whose sum is not,
+    before any gradient, parameter or moment changes."""
+    present, runs = opt._gather()
+    flat = opt._flat_grads
     total = 0.0
-    for lo, hi, cuts in chunks:
-        squares = np.square(opt.grad[lo:hi], out=opt._squares[: hi - lo], dtype=np.float64)
-        for a, b in zip(cuts, cuts[1:]):
-            total += float(np.add.reduce(squares[a - lo : b - lo]))
-    norm = float(np.sqrt(total))
+    with np.errstate(over="ignore"):
+        for i in present:
+            g = flat[i]
+            total += float(g.dot(g))
+    if not math.isfinite(total):
+        # a float32 square overflows above 1.8e19; tell that from an inf or
+        # a NaN in the gradient by summing again in float64
+        total = 0.0
+        for i in present:
+            g = flat[i].astype(np.float64)
+            part = float(g.dot(g))
+            if not math.isfinite(part):
+                raise TrainingDiverged(
+                    f"non-finite gradient in {opt.names[i]} at step {opt.t}")
+            total += part
+    norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for lo, hi, _ in chunks:
+        for lo, hi in runs:
             np.multiply(opt.grad[lo:hi], scale, out=opt.grad[lo:hi])
     return norm
 

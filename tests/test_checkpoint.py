@@ -10,7 +10,6 @@ from moeformer.checkpoint import load_checkpoint, load_into, save_checkpoint
 from moeformer.tensor import Tensor
 from moeformer.training import Adam, TrainConfig, build_model, checkpoint_config_text
 
-import oracles
 from geometry import encoder_of
 
 
@@ -55,15 +54,16 @@ def test_load_into_after_adam_is_seen_by_next_step(tmp_path):
     views = [p.data for _, p in model.parameters()]
     load_into(model.parameters(), path)
     assert all(p.data is view for (_, p), view in zip(model.parameters(), views))
-    # the next step starts from the loaded values
+    # the next step starts from the loaded values: it equals the step of an
+    # optimizer built on a copy of them
     ref = [(name, Tensor(p.data.copy(), requires_grad=True)) for name, p in source.parameters()]
-    oracle = oracles.PerTensorAdam(ref, lr=1e-2)
+    twin = Adam(ref, lr=1e-2)
     rng = np.random.default_rng(3)
     for (_, p), (_, q) in zip(model.parameters(), ref):
         p.grad = rng.standard_normal(p.shape).astype(p.dtype)
         q.grad = p.grad.copy()
     opt.step()
-    oracle.step()
+    twin.step()
     for (name, p), (_, q) in zip(model.parameters(), ref):
         assert p.data.tobytes() == q.data.tobytes(), name
 

@@ -106,10 +106,29 @@ def test_ignored_options_are_rejected(capsys):
     # train reads its batch size from train.batch_size; count-params draws nothing
     for argv in (["train", "--config", str(QUICK), "--batch-size", "4"],
                  ["count-params", "--config", str(REFERENCE / "b1.cfg"), "--seed", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, detail", [
+    ([], "command"),
+    (["train"], "--config"),
+    (["train", "--config", str(QUICK), "--seed", "abc"], "--seed"),
+    (["fit", "--config", str(QUICK)], "'fit'"),
+    (["train", "--config", str(QUICK), "--bogus"], "--bogus"),
+], ids=["no command", "missing --config", "seed abc", "unknown command", "unknown option"])
+def test_argument_errors_are_single_line(capsys, argv, detail):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and detail in err, err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_missing_config_is_single_line_error(capsys):
@@ -225,6 +244,22 @@ CORRUPTIONS = {"header": (1, 40), "name": (2, 40), "rank and dims": (3, 60),
                "data": (4, 40), "truncation": (5, 20), "appended": (6, 10)}
 
 
+def _exits_cleanly(argv, capsys, label):
+    """Run ``main(argv)``: it must exit 0 with nothing on stderr, or 1 with
+    exactly one stderr line and no traceback."""
+    try:
+        # a numpy warning would reach the stderr of a command-line run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+    err = capsys.readouterr().err
+    assert (code == 0 and err == "") or (
+        code == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
+    ), f"{label}: exit {code}, stderr {err!r}"
+
+
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_corrupt_checkpoint_evaluates_or_gives_one_line(untrained, tmp_path, capsys, kind):
     path, fields = untrained
@@ -234,18 +269,118 @@ def test_corrupt_checkpoint_evaluates_or_gives_one_line(untrained, tmp_path, cap
     bad = tmp_path / "bad.bin"
     for case in range(cases):
         bad.write_bytes(_corrupt(blob, fields, kind, rng))
-        try:
-            # a numpy warning would reach the stderr of a command-line run
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["eval", "--config", str(QUICK), "--checkpoint", str(bad),
-                             "--batches", "1", "--batch-size", "2"])
-        except Exception as exc:
-            pytest.fail(f"{kind} case {case}: {type(exc).__name__}: {exc}")
-        err = capsys.readouterr().err
-        assert (code == 0 and err == "") or (
-            code == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
-        ), f"{kind} case {case}: exit {code}, stderr {err!r}"
+        _exits_cleanly(["eval", "--config", str(QUICK), "--checkpoint", str(bad),
+                        "--batches", "1", "--batch-size", "2"], capsys, f"{kind} case {case}")
+
+
+# values a key is set to; none is a large count, so no case can run long
+BAD_VALUES = ["0", "-1", "", "x", "nan", "inf", "-inf", "1.5", "1,2", "1,,2", "x" * 300,
+              "1e-3", "1e9", "-1e9", "0x10", "true", "-0", " 2 ", "\x1d", "\u00e9"]
+
+
+def _one_step_lines():
+    """quick.cfg's key=value lines, with one training step."""
+    return [line.replace("train.steps=120", "train.steps=1")
+            for line in QUICK.read_text().splitlines() if "=" in line]
+
+
+def _train_and_count(config, tmp_path, capsys, label):
+    for argv in (["count-params", "--config", str(config)],
+                 ["train", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--batches", "1"]):
+        _exits_cleanly(argv, capsys, f"{label} {argv[0]}")
+
+
+def test_every_key_set_to_a_bad_value_trains_or_gives_one_line(tmp_path, capsys):
+    lines = _one_step_lines()
+    bad = tmp_path / "bad.cfg"
+    for i, line in enumerate(lines):
+        key = line.split("=", 1)[0]
+        for value in BAD_VALUES:
+            bad.write_text("\n".join(lines[:i] + [f"{key}={value}"] + lines[i + 1:]) + "\n")
+            _train_and_count(bad, tmp_path, capsys, f"{key}={value!r}")
+
+
+def _mutate_config(lines, kind, rng):
+    """Config text: ``lines`` with one corruption of ``kind``, as bytes."""
+    lines = list(lines)
+    i = int(rng.integers(len(lines)))
+    key, value = lines[i].split("=", 1)
+    if kind == "dropped =":
+        lines[i] = key + value
+    elif kind == "duplicated key":
+        twin = value if rng.integers(2) else BAD_VALUES[int(rng.integers(len(BAD_VALUES)))]
+        lines.insert(int(rng.integers(len(lines) + 1)), f"{key}={twin}")
+    elif kind == "unknown key":
+        section = key.split(".")[0]
+        name = ["bogus", key.split(".")[1] + "s", "Steps", ""][int(rng.integers(4))]
+        lines.insert(int(rng.integers(len(lines) + 1)), f"{section}.{name}=1")
+    elif kind == "non-UTF-8":
+        blob = bytearray("\n".join(lines).encode())
+        blob.insert(int(rng.integers(len(blob) + 1)), int(rng.integers(0x80, 0x100)))
+        return bytes(blob)
+    elif kind == "empty":
+        return b""
+    return ("\n".join(lines) + "\n").encode()
+
+
+# kind: (seed, cases)
+CONFIG_CORRUPTIONS = {"dropped =": (12, 8), "duplicated key": (13, 24), "unknown key": (14, 8),
+                      "non-UTF-8": (15, 8), "empty": (16, 1)}
+
+
+@pytest.mark.parametrize("kind", CONFIG_CORRUPTIONS)
+def test_corrupt_config_trains_or_gives_one_line(tmp_path, capsys, kind):
+    lines = _one_step_lines()
+    seed, cases = CONFIG_CORRUPTIONS[kind]
+    rng = np.random.default_rng(seed)
+    bad = tmp_path / "bad.cfg"
+    for case in range(cases):
+        bad.write_bytes(_mutate_config(lines, kind, rng))
+        _train_and_count(bad, tmp_path, capsys, f"{kind} case {case}")
+
+
+def _mutate_arguments(argv, kind, rng):
+    """``argv`` (a command, then flag-value pairs) with one corruption of ``kind``."""
+    command, pairs = argv[0], [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    j = int(rng.integers(len(pairs)))
+    if kind == "dropped flag":
+        del pairs[j]
+    elif kind == "duplicated flag":
+        pairs.insert(int(rng.integers(len(pairs) + 1)), list(pairs[j]))
+    elif kind == "bad value":
+        values = ["abc", "-1", "0", "", "1.5", "nan", "-", "--", "/nonexistent/x"]
+        pairs[j] = [pairs[j][0], values[int(rng.integers(len(values)))]]
+    elif kind == "unknown flag":
+        pairs.insert(int(rng.integers(len(pairs) + 1)),
+                     [["--bogus", "--batch_size", "-x", "--seeds"][int(rng.integers(4))], "1"])
+    elif kind == "unknown command":
+        command = ["fit", "evaluate", "", "TRAIN", "count_params"][int(rng.integers(5))]
+    return [command] + [arg for pair in pairs for arg in pair]
+
+
+# kind: (seed, cases)
+ARGUMENT_CORRUPTIONS = {"dropped flag": (21, 10), "duplicated flag": (22, 10),
+                        "bad value": (23, 16), "unknown flag": (24, 8),
+                        "unknown command": (25, 6)}
+
+
+@pytest.mark.parametrize("kind", ARGUMENT_CORRUPTIONS)
+def test_corrupt_arguments_run_or_give_one_line(untrained, tmp_path, capsys, monkeypatch,
+                                                kind):
+    monkeypatch.chdir(tmp_path)  # a mangled --out or --config names a path in here
+    config = tmp_path / "one_step.cfg"
+    config.write_text(QUICK.read_text().replace("train.steps=120", "train.steps=1"))
+    restored = ["--config", str(QUICK), "--checkpoint", str(untrained[0]), "--batches", "1",
+                "--batch-size", "2"]
+    commands = [["train", "--config", str(config), "--out", "out", "--batches", "1"],
+                ["count-params", "--config", str(QUICK), "--out", "out"],
+                ["eval", *restored], ["route-stats", *restored]]
+    seed, cases = ARGUMENT_CORRUPTIONS[kind]
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        argv = _mutate_arguments(commands[int(rng.integers(len(commands)))], kind, rng)
+        _exits_cleanly(argv, capsys, f"{kind} case {case} {argv}")
 
 
 def test_seed_zero_is_passed_through(trained_dir, monkeypatch):

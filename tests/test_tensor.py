@@ -103,6 +103,21 @@ def test_matmul_shape_mismatch():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("expr", [
+    lambda t: t + 1.0,
+    lambda t: t + np.ones(3),
+    lambda t: t * np.ones(3),
+    lambda t: T.add(np.ones(3), t),
+    lambda t: T.mul(np.ones(3), t),
+], ids=["tensor + float", "tensor + array", "tensor * array", "add(array, tensor)",
+        "mul(array, tensor)"])
+def test_elementwise_ops_refuse_an_operand_that_is_not_a_tensor(expr):
+    t = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ParameterError, match="operands must be Tensors") as info:
+        expr(t)
+    assert len(str(info.value).splitlines()) == 1
+
+
 def test_matmul_one_row_matches_row_of_taller_product():
     # alone, a one-row operand takes the BLAS gemv path, which rounds
     # differently from the same row inside a gemm
