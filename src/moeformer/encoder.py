@@ -105,7 +105,7 @@ class _Linear:
         self.w, self.b = w, b
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.linear(x, self.w, self.b)
 
 
 class _Norm:
@@ -125,7 +125,7 @@ class FFNBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln(x)
-        h = T.matmul(T.swish(T.matmul(h, self.w1) + self.b1), self.w2) + self.b2
+        h = T.linear(T.swish(T.linear(h, self.w1, self.b1)), self.w2, self.b2)
         return T.add_scaled(x, h, 0.5)
 
 
@@ -235,7 +235,9 @@ class AdapterBank:
             )
         counts = np.bincount(group_ids, minlength=len(self.groups))
         self.usage += counts * x.shape[1]
-        return _grouped_dispatch(x, group_ids, counts, lambda g, rows: self.groups[g](rows))
+        rows, pos = _grouped_dispatch(x, group_ids, counts,
+                                      lambda g, seqs: self.groups[g](seqs))
+        return T.take_rows(rows, pos)
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class ExpertFFN:
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.matmul(T.swish(T.matmul(x, self.w1) + self.b1), self.w2) + self.b2
+        return T.linear(T.swish(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 class MoELayer:
@@ -99,42 +99,41 @@ class MoELayer:
         """Route each frame through its two selected experts only.
 
         One grouped dispatch over the (frame, slot) expert ids runs each
-        selected expert once on all of its frames; the outputs, back in
-        (frame, slot) order, are scaled by their gate probability and the two
-        slots summed. Experts that no frame selected never execute (and
-        receive no gradient).
+        selected expert once on all of its frames; one ``combine_top2`` node
+        scales each frame's two outputs by their gate probabilities and sums
+        them. Experts that no frame selected never execute (and receive no
+        gradient).
         """
         gates = self.gate(x)
         decision = route_top2(gates)
         frames = decision.num_frames
         if frames == 0:
             return T.Tensor(np.zeros_like(x.data)), decision
-        out = _grouped_dispatch(x, decision.top2_idx.reshape(-1), decision.counts,
-                                self._run_expert, slots=2)
-        out = T.reshape(out, (frames, 2, -1))
-        weight = T.reshape(decision.top2_gates, (frames, 2, 1))
-        return T.sum_(out * weight, axis=1), decision
+        rows, pos = _grouped_dispatch(x, decision.top2_idx.reshape(-1), decision.counts,
+                                      self._run_expert, slots=2)
+        return T.combine_top2(rows, pos.reshape(frames, 2), decision.top2_gates), decision
 
 
 def _grouped_dispatch(x: Tensor, owner: np.ndarray, counts: np.ndarray, run,
-                      slots: int = 1) -> Tensor:
+                      slots: int = 1) -> tuple[Tensor, np.ndarray]:
     """Send entry r, a copy of row ``r // slots`` of ``x``, through module
-    ``owner[r]``; returns the outputs in entry order.
+    ``owner[r]``; returns the outputs, grouped by module, and the row of
+    each entry's output in them.
 
     A stable sort of ``owner`` puts each module's entries in one contiguous
-    run, in ascending entry order; one gather builds the sorted input,
-    ``run(i, rows)`` runs module i on its whole run at once, and one inverse
-    gather restores the entry order. ``counts[i]`` is the number of entries
-    module i owns; a module that owns none never runs.
+    run, in ascending entry order; one gather builds the sorted input, and
+    ``run(i, rows)`` runs module i on its whole run at once. ``counts[i]``
+    is the number of entries module i owns; a module that owns none never
+    runs.
     """
     order = np.argsort(owner, kind="stable")
     grouped = T.take_rows(x, order // slots)
     ends = np.cumsum(counts)
     outs = [run(i, T.slice_axis(grouped, 0, ends[i] - counts[i], ends[i]))
             for i in np.flatnonzero(counts)]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return T.take_rows(T.concat(outs, axis=0), inverse)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return T.concat(outs, axis=0), pos
 
 
 def route_top2(gates: Tensor) -> RoutingDecision:

@@ -240,55 +240,38 @@ def _disjoint(a: range, b: range) -> bool:
     return set(a).isdisjoint(b)
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # --------------------------------------------------------------------------
 # arithmetic
 
 
-def _tensors(op: str, a, b) -> None:
+def _same_shape(op: str, a, b) -> None:
     if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
         raise ParameterError(
             f"{op}: operands must be Tensors, got {type(a).__name__} and {type(b).__name__}")
+    if a.shape != b.shape:
+        raise ParameterError(f"{op}: shapes differ, {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _tensors("add", a, b)
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ParameterError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
+    """``a + b`` for same-shape operands (a bias goes through ``linear``)."""
+    _same_shape("add", a, b)
 
     def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _tensors("mul", a, b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ParameterError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
+    """``a * b`` for same-shape operands."""
+    _same_shape("mul", a, b)
 
     def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -313,8 +296,9 @@ def add_scaled(x: Tensor, h: Tensor, c: float) -> Tensor:
     return _make(data, (x, h), backward)
 
 
-def _rows_times(rows: Array, w: Array) -> Array:
-    """``rows @ w`` for a (M, k) ``rows`` and a (k, n) ``w``, as one GEMM.
+def _rows_times(rows: Array, w: Array, out: Array | None = None) -> Array:
+    """``rows @ w`` for a (M, k) ``rows`` and a (k, n) ``w``, as one GEMM,
+    into ``out`` when given (a lone row ignores it).
 
     A lone row is computed as row 0 of a two-row product: on its own,
     OpenBLAS sends it down the gemv path, which rounds differently from the
@@ -323,7 +307,7 @@ def _rows_times(rows: Array, w: Array) -> Array:
     """
     if rows.shape[0] == 1:
         return np.matmul(np.repeat(rows, 2, axis=0), w)[:1]
-    return np.matmul(rows, w)
+    return np.matmul(rows, w, out=out)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -363,25 +347,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``matmul(x, w) + b`` for a (n,) bias ``b``, as one node.
+
+    The product comes from this module's ``matmul`` (whatever wraps that
+    name sees the GEMM and its backward) and the bias is added into the
+    product's buffer. The backward sums the bias gradient over the leading
+    axes, into the bias's ``grad_slot`` when it can, then runs the product's
+    own backward rule: the product never enters the tape. Bit for bit a
+    ``matmul`` node followed by a broadcasting add.
+    """
+    if b.shape != w.shape[-1:]:
+        raise ParameterError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    product = matmul(x, w)
+    data = product.data
+    data += b.data
 
     def backward(g: Array) -> None:
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
+        if b.requires_grad:
+            if g.ndim == 1:
+                _accum(b, g)
+            else:
+                lead = tuple(range(g.ndim - 1))
+                _accum(b, np.add.reduce(g, axis=lead, out=_grad_out(b, g.dtype)))
+        if product._backward is not None:
+            product._backward(g)
+
+    return _make(data, (x, w, b), backward)
+
+
+def sum_(x: Tensor, axis: int | None = None) -> Tensor:
+    data = x.data.sum(axis=axis)
+
+    def backward(g: Array) -> None:
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(gg, x.shape).copy())
 
     return _make(data, (x,), backward)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.size
-    else:
-        n = x.shape[axis] if isinstance(axis, int) else int(np.prod([x.shape[i] for i in axis]))
-    return scale(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean(x: Tensor, axis: int | None = None) -> Tensor:
+    n = x.size if axis is None else x.shape[axis]
+    return scale(sum_(x, axis=axis), 1.0 / n)
 
 
 # --------------------------------------------------------------------------
@@ -577,10 +584,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g: Array) -> None:
         if bias.requires_grad:
-            _accum(bias, np.add.reduce(g.reshape(-1, d), axis=0))
+            _accum(bias, np.add.reduce(g.reshape(-1, d), axis=0,
+                                       out=_grad_out(bias, g.dtype)))
         t = np.multiply(g, xhat)
         if gain.requires_grad:
-            _accum(gain, np.add.reduce(t.reshape(-1, d), axis=0))
+            _accum(gain, np.add.reduce(t.reshape(-1, d), axis=0,
+                                       out=_grad_out(gain, t.dtype)))
         if x.requires_grad:
             # inv * ((gx_hat - mean(gx_hat)) - xhat * mean(gx_hat * xhat))
             gx = np.multiply(g, gain.data)
@@ -603,7 +612,8 @@ def causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-channel 1-D convolution over time, left-padded so frame t sees only <= t.
 
     ``x`` is (batch, frames, channels); ``weight`` is (kernel, channels) with
-    weight[-1] applied to the current frame.
+    weight[-1] applied to the current frame. The taps are added after the
+    bias in tap order, each product made in one scratch buffer per call.
     """
     if x.ndim != 3:
         raise ParameterError(f"causal_depthwise_conv: expected (B, T, D) input, got {x.shape}")
@@ -615,23 +625,29 @@ def causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     b, t, _ = x.shape
     xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
-    data = np.zeros_like(x.data) + bias.data
+    data = np.zeros(x.shape, np.result_type(x.data, weight.data, bias.data))
+    data += bias.data
+    scratch = np.empty_like(data)
     for j in range(k):
-        data = data + weight.data[j] * xp[:, j : j + t, :]
+        data += np.multiply(weight.data[j], xp[:, j : j + t, :], out=scratch)
     _tally(b * t * k * d)
 
     def backward(g: Array) -> None:
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 1)))
+            _accum(bias, np.add.reduce(g, axis=(0, 1), out=_grad_out(bias, g.dtype)))
+        scratch = np.empty(g.shape, np.result_type(g, xp, weight.data))
         if weight.requires_grad:
-            gw = np.empty_like(weight.data)
+            gw = _grad_out(weight, weight.dtype)
+            if gw is None:
+                gw = np.empty_like(weight.data)
             for j in range(k):
-                gw[j] = (g * xp[:, j : j + t, :]).sum(axis=(0, 1))
+                gw[j] = np.add.reduce(np.multiply(g, xp[:, j : j + t, :], out=scratch),
+                                      axis=(0, 1))
             _accum(weight, gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, j : j + t, :] += weight.data[j] * g
+                gxp[:, j : j + t, :] += np.multiply(weight.data[j], g, out=scratch)
             _accum(x, gxp[:, k - 1 :, :])
 
     return _make(data, (x, weight, bias), backward)
@@ -643,7 +659,9 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     ``x`` is (batch, frames, in_channels); ``weight`` is (kernel, in_channels,
     out_channels) with weight[-1] applied to the current frame. Each tap is
     one ``(batch*frames, in_channels) @ (in_channels, out_channels)`` GEMM
-    with ``matmul``'s one-row rule, added after the bias in tap order.
+    with ``matmul``'s one-row rule, added after the bias in tap order. A
+    call copies each tap's frames into one reused (batch*frames, in_channels)
+    buffer, forward and backward, and keeps only the padded input between.
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise ParameterError(
@@ -658,28 +676,39 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     b, t, _ = x.shape
     xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
-    taps = [xp[:, j : j + t, :].reshape(-1, cin) for j in range(k)]
-    data = np.zeros((b * t, cout), dtype=x.dtype) + bias.data
-    for j in range(k):
-        data = data + _rows_times(taps[j], weight.data[j])
+
+    def taps():
+        # tap j's frames as (batch*frames, in_channels) rows, in one buffer
+        rows = np.empty((b, t, cin), xp.dtype)
+        for j in range(k):
+            np.copyto(rows, xp[:, j : j + t, :])
+            yield j, rows.reshape(-1, cin)
+
+    dtype = np.result_type(x.data, weight.data, bias.data)
+    data = np.zeros((b * t, cout), dtype)
+    data += bias.data
+    product = np.empty_like(data)
+    for j, rows in taps():
+        data += _rows_times(rows, weight.data[j], out=product)
     data = data.reshape(b, t, cout)
     _tally(b * t * k * cin * cout)
 
     def backward(g: Array) -> None:
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 1)))
+            _accum(bias, np.add.reduce(g, axis=(0, 1), out=_grad_out(bias, g.dtype)))
         g2 = g.reshape(-1, cout)
         if weight.requires_grad:
             gw = _grad_out(weight, np.result_type(xp, g2))
             if gw is None:
                 gw = np.empty_like(weight.data)
-            for j in range(k):
-                np.matmul(taps[j].T, g2, out=gw[j])
+            for j, rows in taps():
+                np.matmul(rows.T, g2, out=gw[j])
             _accum(weight, gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
+            gx = np.empty((b * t, cin), np.result_type(g2, weight.data))
             for j in range(k):
-                gxp[:, j : j + t, :] += np.matmul(g2, weight.data[j].T).reshape(b, t, cin)
+                gxp[:, j : j + t, :] += np.matmul(g2, weight.data[j].T, out=gx).reshape(b, t, cin)
             _accum(x, gxp[:, k - 1 :, :])
 
     return _make(data, (x, weight, bias), backward)
@@ -834,6 +863,38 @@ def _add_rows_at(out: Array, idx: Array, g: Array) -> None:
     for k in range(int(rank.max()) + 1):
         pick = order[rank == k]
         out[rows[pick]] += g[pick]
+
+
+def combine_top2(x: Tensor, pos: Array, gates: Tensor) -> Tensor:
+    """Each frame's two slot outputs weighted by its gates and summed, as
+    one node: ``out[f] = x[pos[f, 0]] * gates[f, 0] + x[pos[f, 1]] * gates[f, 1]``.
+
+    ``x`` holds the slot outputs as rows in any order and ``pos`` (frames, 2)
+    the row of each. Bit for bit a ``take_rows`` of ``x`` by ``pos``, two
+    reshapes, a broadcasting ``mul`` and a ``sum_`` over the slots; the
+    gathered rows are not kept, the backward gathers them again.
+    """
+    pos = np.asarray(pos, dtype=np.int64)
+    frames = pos.shape[0]
+    if pos.shape != (frames, 2) or gates.shape != (frames, 2) or x.ndim != 2:
+        raise ParameterError(
+            f"combine_top2: need (frames, 2) positions and gates over rows of x, "
+            f"got {pos.shape}, {gates.shape} and {x.shape}")
+    weighted = x.data[pos]
+    np.multiply(weighted, gates.data[:, :, None], out=weighted)
+    # summing the slots starts from +0.0, as np.sum does
+    data = np.add(weighted[:, 0], 0.0)
+    data += weighted[:, 1]
+
+    def backward(g: Array) -> None:
+        if gates.requires_grad:
+            _accum(gates, np.add.reduce(np.multiply(g[:, None, :], x.data[pos]), axis=2))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            _add_rows_at(gx, pos, np.multiply(g[:, None, :], gates.data[:, :, None]))
+            _accum(x, gx)
+
+    return _make(data, (x, gates), backward)
 
 
 def take_entries(x: Tensor, rows: Array, cols: Array) -> Tensor:

@@ -82,7 +82,7 @@ class TrainedModel:
 
     def logits(self, features, language_ids=None):
         enc, decisions = self.encoder.forward(features, language_ids=language_ids)
-        return T.matmul(enc, self.head_w) + self.head_b, decisions
+        return T.linear(enc, self.head_w, self.head_b), decisions
 
 
 def build_model(config: EncoderConfig, num_labels: int, seed: int,
@@ -130,13 +130,14 @@ class Adam:
     rebinds each ``p.data`` to a reshaped view of its slot, so names, shapes
     and values are unchanged; the moments and the gradients live in buffers
     of the same layout. Each ``p.grad_slot`` is the parameter's gradient
-    slot: a backward pass writes a weight's first matmul or conv gradient
-    straight into it, and ``_gather`` copies in only the gradients that
-    arrived as other arrays (a bias, a parameter used twice, a gradient
-    set by hand). A step is 10 in-place vector passes over each cache-sized
-    chunk of the runs of consecutive parameters that have a gradient. A
-    parameter whose ``grad`` is None keeps its values and both moments.
-    Parameter values must be written in place (``p.data[...] = values``, as
+    slot: a backward pass writes a parameter's first gradient (of a matmul,
+    linear, conv or layer-norm node) straight into it, and ``_gather``
+    copies in only the gradients that arrived as other arrays (a parameter
+    used twice, a gradient set by hand). A step is 10 in-place vector
+    passes over each cache-sized chunk of the runs of consecutive
+    parameters that have a gradient. A parameter whose ``grad`` is None
+    keeps its values and both moments. Parameter values must be written in
+    place (``p.data[...] = values``, as
     ``checkpoint.load_into`` does); a step raises ``ParameterError`` once a
     parameter's ``data`` has been rebound.
 
@@ -170,7 +171,7 @@ class Adam:
             self.offsets.append(self.offsets[-1] + p.size)
         size = self.offsets[-1]
         self.data = np.empty(size, dtype)
-        self.grad = np.empty(size, dtype)  # a step reads only the slots it copied in
+        self.grad = np.empty(size, dtype)  # a step reads only the slots _gather planned
         self.m = np.zeros(size, dtype)  # M = m_t / (1 - beta1)
         self.v = np.zeros(size, dtype)  # V = v_t / (1 - beta2)
         self._views, self._grads, self._flat_grads = [], [], []
@@ -343,23 +344,31 @@ def train(encoder_config: EncoderConfig, task: SyntheticTaskSpec,
     for step in range(train_cfg.steps):
         feats, labels, langs = generate_batch(task, batch_rng, train_cfg.batch_size)
         targets = frame_targets(labels, downsample)
-        logits, decisions = model.logits(feats, language_ids=langs if uses_adapters else None)
-        ce = cross_entropy(logits, targets)
-        loss = ce
-        aux_values = []
-        for decision in decisions:
-            aux = aux_load_balance_loss(decision)
-            aux_values.append(float(aux.data))
-            if train_cfg.aux_weight > 0:
-                loss = loss + aux * train_cfg.aux_weight
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
+        # an overflow or NaN in the forward or backward ends the run before
+        # the update, instead of a numpy warning and saturated weights
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                logits, decisions = model.logits(
+                    feats, language_ids=langs if uses_adapters else None)
+                ce = cross_entropy(logits, targets)
+                loss = ce
+                aux_values = []
+                for decision in decisions:
+                    aux = aux_load_balance_loss(decision)
+                    aux_values.append(float(aux.data))
+                    if train_cfg.aux_weight > 0:
+                        loss = loss + aux * train_cfg.aux_weight
+                loss_value = float(loss.data)
+                if not np.isfinite(loss_value):
+                    raise TrainingDiverged(
+                        f"non-finite loss {loss_value} at step {step} "
+                        f"(ce={float(ce.data)}, lr={opt.current_lr():.3g})"
+                    )
+                model.zero_grad()
+                loss.backward()
+        except FloatingPointError as exc:
             raise TrainingDiverged(
-                f"non-finite loss {loss_value} at step {step} "
-                f"(ce={float(ce.data)}, lr={opt.current_lr():.3g})"
-            )
-        model.zero_grad()
-        loss.backward()
+                f"{exc} at step {step} (lr={opt.current_lr():.3g})") from exc
         grad_norm = clip_gradients(opt, train_cfg.clip_norm)
         lr = opt.step()
 

@@ -2,9 +2,10 @@
 
 Everything here is written against raw arrays, deliberately sharing no code
 with the package's graph ops, except ``dense_moe_forward``,
-``per_group_adapters``, ``padded_slice_axis``, ``batched_matmul`` and the
-composite ops (``sigmoid_node`` through ``add_scaled``): those are built
-from tensor ops so that a graph using them still backpropagates.
+``per_group_adapters``, ``padded_slice_axis``, ``batched_matmul``, the
+broadcasting ``broadcast_add`` / ``broadcast_mul`` and the composite ops
+(``sigmoid_node`` through ``causal_conv``): those are built from tensor ops
+so that a graph using them still backpropagates.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def dense_moe_forward(layer, x):
     for i, expert in enumerate(layer.experts):
         layer.evaluations += decision.num_frames
         weight = T.slice_axis(gates, 1, i, i + 1) * T.Tensor(selected[:, i : i + 1])
-        term = expert.forward(x) * weight
+        term = broadcast_mul(expert.forward(x), weight)
         y = term if y is None else y + term
     return y, decision
 
@@ -214,12 +215,47 @@ def batched_matmul(a, b):
         a2, g2 = (a.data[None], g[..., None, :]) if a.ndim == 1 else (a.data, g)
         if a.requires_grad:
             ga = np.matmul(g2, np.swapaxes(b.data, -1, -2))
-            T._accum(a, T._unbroadcast(ga, a.shape))
+            T._accum(a, unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
-            T._accum(b, T._unbroadcast(gb, b.shape))
+            T._accum(b, unbroadcast(gb, b.shape))
 
     return T._make(data, (a, b), backward)
+
+
+def unbroadcast(g, shape):
+    """Reduce a broadcast gradient back to the operand shape ``shape``."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def broadcast_add(a, b):
+    """``a + b`` with numpy broadcasting, each gradient summed back to its
+    operand's shape (``tensor.add`` takes equal shapes only)."""
+
+    def backward(g):
+        T._accum(a, unbroadcast(g, a.shape))
+        T._accum(b, unbroadcast(g, b.shape))
+
+    return T._make(a.data + b.data, (a, b), backward)
+
+
+def broadcast_mul(a, b):
+    """``a * b`` with numpy broadcasting, each gradient summed back to its
+    operand's shape (``tensor.mul`` takes equal shapes only)."""
+
+    def backward(g):
+        T._accum(a, unbroadcast(g * b.data, a.shape))
+        T._accum(b, unbroadcast(g * a.data, b.shape))
+
+    return T._make(a.data * b.data, (a, b), backward)
 
 
 class PerTensorAdam:
@@ -354,6 +390,77 @@ def merge_heads(x):
 def add_scaled(x, h, c):
     """``tensor.add_scaled`` as a scale and an add."""
     return x + h * c
+
+
+def linear(x, w, b):
+    """``tensor.linear`` as a ``matmul`` node and a broadcasting add."""
+    return broadcast_add(T.matmul(x, w), b)
+
+
+def combine_top2(x, pos, gates):
+    """``tensor.combine_top2`` as a gather of the slot rows, two reshapes, a
+    broadcasting product with the gates and a sum over the slots."""
+    frames = pos.shape[0]
+    rows = T.reshape(T.take_rows(x, pos.reshape(-1)), (frames, 2, -1))
+    return T.sum_(broadcast_mul(rows, T.reshape(gates, (frames, 2, 1))), axis=1)
+
+
+def causal_depthwise_conv(x, weight, bias):
+    """``tensor.causal_depthwise_conv`` with two fresh temporaries per tap."""
+    k = weight.shape[0]
+    t = x.shape[1]
+    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+    data = np.zeros_like(x.data) + bias.data
+    for j in range(k):
+        data = data + weight.data[j] * xp[:, j : j + t, :]
+    T._tally(x.shape[0] * t * weight.size)
+
+    def backward(g):
+        if bias.requires_grad:
+            T._accum(bias, g.sum(axis=(0, 1)))
+        if weight.requires_grad:
+            gw = np.empty_like(weight.data)
+            for j in range(k):
+                gw[j] = (g * xp[:, j : j + t, :]).sum(axis=(0, 1))
+            T._accum(weight, gw)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[:, j : j + t, :] += weight.data[j] * g
+            T._accum(x, gxp[:, k - 1 :, :])
+
+    return T._make(data, (x, weight, bias), backward)
+
+
+def causal_conv(x, weight, bias):
+    """``tensor.causal_conv`` with a copy of every tap kept for the backward
+    and a fresh array per tap product."""
+    k, cin, cout = weight.shape
+    b, t, _ = x.shape
+    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+    taps = [xp[:, j : j + t, :].reshape(-1, cin) for j in range(k)]
+    data = np.zeros((b * t, cout), dtype=x.dtype) + bias.data
+    for j in range(k):
+        data = data + T._rows_times(taps[j], weight.data[j])
+    data = data.reshape(b, t, cout)
+    T._tally(b * t * weight.size)
+
+    def backward(g):
+        if bias.requires_grad:
+            T._accum(bias, g.sum(axis=(0, 1)))
+        g2 = g.reshape(-1, cout)
+        if weight.requires_grad:
+            gw = np.empty_like(weight.data)
+            for j in range(k):
+                np.matmul(taps[j].T, g2, out=gw[j])
+            T._accum(weight, gw)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[:, j : j + t, :] += np.matmul(g2, weight.data[j].T).reshape(b, t, cin)
+            T._accum(x, gxp[:, k - 1 :, :])
+
+    return T._make(data, (x, weight, bias), backward)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from moeformer.moe import (
     route_top2,
     routing_records,
 )
-from moeformer.tensor import Tensor, concat, mean, slice_axis, sum_
+from moeformer.tensor import Tensor, concat, linear, mean, slice_axis, softmax, sum_
 
 import oracles
 
@@ -300,13 +300,10 @@ def test_combined_output_invariant_under_gate_logit_shift():
     layer = make_layer(rng, 6, 4)
     x = Tensor(rng.standard_normal((8, 6)))
     y1, d1 = layer.forward(x)
-    bias_row = Tensor(np.full((1, 4), 9.25))
+    bias = Tensor(np.full(4, 9.25))
     # adding a constant to every gate logit leaves softmax, hence routing, alone
     original_gate = layer.gate
-    layer.gate = lambda inp: __import__("moeformer.tensor", fromlist=["softmax"]).softmax(
-        __import__("moeformer.tensor", fromlist=["matmul"]).matmul(inp, layer.gate_w) + bias_row,
-        axis=1,
-    )
+    layer.gate = lambda inp: softmax(linear(inp, layer.gate_w, bias), axis=1)
     y2, d2 = layer.forward(x)
     layer.gate = original_gate
     np.testing.assert_array_equal(d1.top2_idx, d2.top2_idx)

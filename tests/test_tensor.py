@@ -18,10 +18,12 @@ from moeformer.tensor import (
     add_scaled,
     causal_conv,
     causal_depthwise_conv,
+    combine_top2,
     concat,
     count_macs,
     glu,
     layer_norm,
+    linear,
     log_softmax,
     masked_attention,
     matmul,
@@ -116,6 +118,16 @@ def test_elementwise_ops_refuse_an_operand_that_is_not_a_tensor(expr):
     with pytest.raises(ParameterError, match="operands must be Tensors") as info:
         expr(t)
     assert len(str(info.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_elementwise_ops_refuse_operands_of_different_shapes(op):
+    # a bias is added through linear; nothing broadcasts in add or mul
+    a = Tensor(np.ones((4, 3)), requires_grad=True)
+    for b_shape in [(3,), (1, 3), (4, 1), ()]:
+        with pytest.raises(ParameterError, match="shapes differ") as info:
+            op(a, Tensor(np.ones(b_shape)))
+        assert len(str(info.value).splitlines()) == 1
 
 
 def test_matmul_one_row_matches_row_of_taller_product():
@@ -383,6 +395,9 @@ def test_slice_axis_backward_matches_padded_oracle(dtype):
 # --------------------------------------------------------------------------
 # fused pointwise ops against the nodes they replace
 
+# where each (frame, slot) output sits among the rows handed to combine_top2
+_SLOT_ROWS = np.array([[3, 7], [0, 9], [5, 1], [8, 2], [6, 4]])
+
 # name -> (fused op, composite oracle, input shapes); every input is a leaf
 FUSED = {
     "layer_norm": (layer_norm, oracles.layer_norm, [(2, 5, 12), (12,), (12,)]),
@@ -393,6 +408,16 @@ FUSED = {
     "merge_heads": (merge_heads, oracles.merge_heads, [(2, 3, 5, 4)]),
     "add_scaled": (lambda x, h: add_scaled(x, h, 0.5), lambda x, h: oracles.add_scaled(x, h, 0.5),
                    [(2, 5, 6), (2, 5, 6)]),
+    "linear_3d": (linear, oracles.linear, [(2, 5, 12), (12, 7), (7,)]),
+    "linear_2d": (linear, oracles.linear, [(9, 12), (12, 7), (7,)]),
+    "linear_one_row": (linear, oracles.linear, [(1, 12), (12, 7), (7,)]),
+    "combine_top2": (lambda x, gates: combine_top2(x, _SLOT_ROWS, gates),
+                     lambda x, gates: oracles.combine_top2(x, _SLOT_ROWS, gates),
+                     [(10, 6), (5, 2)]),
+    "causal_depthwise_conv": (causal_depthwise_conv, oracles.causal_depthwise_conv,
+                              [(2, 7, 6), (3, 6), (6,)]),
+    "causal_conv": (causal_conv, oracles.causal_conv, [(2, 7, 4), (3, 4, 5), (5,)]),
+    "causal_conv_one_frame": (causal_conv, oracles.causal_conv, [(1, 1, 4), (3, 4, 5), (5,)]),
 }
 
 
@@ -520,7 +545,7 @@ def test_gradcheck_dense_chain():
     x = Tensor(rng.standard_normal((4, 5)))
 
     def loss_fn():
-        h = swish(matmul(x, w1) + b1)
+        h = swish(linear(x, w1, b1))
         return mean(softmax(matmul(h, w2), axis=-1) * matmul(h, w2))
 
     assert_grads_close(loss_fn, {"w1": w1, "b1": b1, "w2": w2})

@@ -1,6 +1,8 @@
 """Training-loop tests: determinism, divergence handling, optimizer sanity,
 dense-equivalence of two-expert routing, and balance under a heavy penalty."""
 
+import collections
+import re
 import warnings
 from dataclasses import replace
 
@@ -48,6 +50,36 @@ def test_divergence_aborts_with_diagnostic():
     cfg = TrainConfig(steps=60, batch_size=2, lr=1e9, warmup_steps=1, seed=0)
     with pytest.raises(TrainingDiverged, match="step"):
         train(encoder_of("quick"), task_of("quick"), cfg)
+
+
+def test_overflow_stops_training_before_the_update(monkeypatch):
+    # lr=1e9 on configs/desk/quick.cfg: within 5 steps layer_norm overflows.
+    # train refuses the step with its number, before the optimizer updates
+    # anything, instead of a numpy warning and finite losses from
+    # saturated weights
+    opts, kept = [], {}
+
+    class Recorded(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    def hook(step, record):
+        kept.update(data=opts[0].data.copy(), m=opts[0].m.copy(), v=opts[0].v.copy())
+
+    monkeypatch.setattr(training, "Adam", Recorded)
+    raw = parse_kv_file(CONFIGS / "desk" / "quick.cfg")
+    cfg = replace(train_from_flat(raw), steps=5, lr=1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as exc:
+            train(encoder_from_flat(raw), task_from_flat(raw), cfg, step_hook=hook)
+    message = str(exc.value)
+    assert "overflow" in message and len(message.splitlines()) == 1
+    step = int(re.search(r" at step (\d+) ", message).group(1))
+    assert 0 < step < 5 and opts[0].t == step
+    for name in ("data", "m", "v"):
+        assert getattr(opts[0], name).tobytes() == kept[name].tobytes(), name
 
 
 def test_single_language_single_pair_learns_below_uniform_loss():
@@ -112,6 +144,56 @@ def test_flat_matmul_training_matches_batched_oracle(monkeypatch):
     assert calls and len(flat_losses) == len(batched_losses) == 40
     for a, b in zip(flat_losses, batched_losses):
         assert abs(a - b) < 1e-5
+
+
+def test_training_matches_the_composite_ops_bit_for_bit(monkeypatch):
+    # 40 float32 steps of configs/desk/quick.cfg, once on the one-node ops
+    # (linear, combine_top2 and both convs, whose gradients land in their
+    # arena slots) and once on the composites they replaced
+    # (tests/oracles.py): the same metrics and final weights, bit for bit
+    raw = parse_kv_file(CONFIGS / "desk" / "quick.cfg")
+    enc, task = encoder_from_flat(raw), task_from_flat(raw)
+    cfg = replace(train_from_flat(raw), steps=40)
+    model, metrics = train(enc, task, cfg)
+    calls = collections.Counter()
+
+    def counted(name):
+        def op(*args):
+            calls[name] += 1
+            return getattr(oracles, name)(*args)
+        return op
+
+    names = ("linear", "combine_top2", "causal_conv", "causal_depthwise_conv")
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setattr(T, name, counted(name))
+        twin, twin_metrics = train(enc, task, cfg)
+    assert all(calls[name] >= 40 for name in names), calls
+    assert len(metrics) == 40 and metrics == twin_metrics
+    for (name, p), (_, q) in zip(model.parameters(), twin.parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+
+
+def test_a_balance_loss_tape_has_one_node_per_linear_layer_and_routed_combine(monkeypatch):
+    # the loss of the first configs/desk/balance.cfg step (batch 12) holds
+    # 309 nodes with a backward rule. Before the bias add and the slot
+    # combine were folded into linear and combine_top2 it held 406: one add
+    # more for each of the 81 linear layers, and 4 more nodes (an inverse
+    # gather, two reshapes and a product, summed by the one node left) in
+    # each of the 4 routed layers
+    losses = []
+    monkeypatch.setattr(Tensor, "backward", lambda loss: losses.append(loss))
+    raw = parse_kv_file(CONFIGS / "desk" / "balance.cfg")
+    cfg = replace(train_from_flat(raw), steps=1, batch_size=12, seed=3)
+    train(encoder_from_flat(raw), task_from_flat(raw), cfg)
+    seen, stack, nodes = set(), list(losses), 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes += node._backward is not None
+            stack.extend(node._parents)
+    assert nodes == 309
 
 
 def test_large_aux_weight_drives_balance():
@@ -336,19 +418,18 @@ def test_float32_overflowing_squares_still_clip():
 
 
 def test_weight_gradients_are_written_into_their_arena_slots():
-    # every matmul and conv weight's gradient is its slot itself, so Adam
-    # copies none of them; a bias or gain arrives as its own array
+    # every parameter's gradient (weights, biases, gains, conv taps) is its
+    # slot itself, so Adam copies none of them
     model = build_model(encoder_of("quick"), task_of("quick").num_labels, seed=0)
     opt = Adam(model.parameters(), lr=1e-3)
     feats, _, _ = generate_batch(task_of("quick"), np.random.default_rng(1), 2)
     logits, _ = model.logits(feats)
     T.sum_(logits * logits).backward()
-    weights = [i for i, (name, p) in enumerate(zip(opt.names, opt.params))
-               if p.ndim >= 2 and not name.endswith("dw.w") and p.grad is not None]
-    assert len(weights) >= 30
-    for i in weights:
+    present = [i for i, p in enumerate(opt.params) if p.grad is not None]
+    assert sum(opt.params[i].ndim == 1 for i in present) >= 30
+    assert sum(opt.params[i].ndim >= 2 for i in present) >= 30
+    for i in present:
         assert opt.params[i].grad is opt._grads[i], opt.names[i]
-    assert all(p.grad is not opt._grads[i] for i, p in enumerate(opt.params) if p.ndim == 1)
 
 
 @pytest.mark.parametrize("case", ["once", "shared_weight", "second_backward"])
