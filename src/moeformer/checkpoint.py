@@ -1,6 +1,7 @@
 """Binary checkpoints: magic, format version, training step, a config echo,
 then one record per named tensor (name, rank, dims, raw little-endian
-float32 data). Round trips are bit-exact for float32 models."""
+float32 data). Round trips are bit-exact: a tensor that float32 cannot hold
+exactly is refused, not rounded."""
 
 from __future__ import annotations
 
@@ -18,8 +19,19 @@ MAX_RANK = 32  # the most axes numpy 1.x arrays can have
 
 
 def save_checkpoint(params, path, config_text: str = "", step: int = 0) -> None:
-    """Write named tensors; ``params`` is an iterable of (name, Tensor)."""
-    items = list(params)
+    """Write named tensors; ``params`` is an iterable of (name, Tensor).
+
+    A tensor whose values float32 cannot hold exactly is a CheckpointError
+    naming it, raised before the file is opened."""
+    items = []
+    for name, tensor in params:
+        data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
+        with np.errstate(over="ignore"):
+            stored = np.ascontiguousarray(data, dtype="<f4")
+        if stored.dtype != data.dtype and not np.array_equal(stored, data, equal_nan=True):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} ({data.dtype}) does not fit float32 exactly")
+        items.append((name, stored))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -28,15 +40,14 @@ def save_checkpoint(params, path, config_text: str = "", step: int = 0) -> None:
         fh.write(struct.pack("<I", len(config_bytes)))
         fh.write(config_bytes)
         fh.write(struct.pack("<I", len(items)))
-        for name, tensor in items:
-            data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
+        for name, data in items:
             name_bytes = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_bytes)))
             fh.write(name_bytes)
             fh.write(struct.pack("<B", data.ndim))
             for dim in data.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            fh.write(data.tobytes())
 
 
 class _Reader:

@@ -56,6 +56,9 @@ def cmd_train(args) -> int:
     train_cfg = train_from_flat(raw)
     if args.seed is not None:
         train_cfg.seed = args.seed
+    if args.out is not None and train_cfg.dtype != "float32":
+        raise ConfigError(f"train.dtype={train_cfg.dtype} cannot be saved with --out: "
+                          "checkpoints hold float32")
     out = _out_dir(args)
 
     model, metrics = train(encoder_cfg, task, train_cfg)

@@ -56,10 +56,17 @@ def positional_encoding(num_frames: int, dim: int, dtype=np.float32) -> Array:
 
 def attention_window_mask(num_frames: int, left: int, right: int) -> Array:
     """(T, T) booleans, True where query frame i may attend key frame j:
-    ``i - left <= j <= i + right``."""
-    frames = np.arange(num_frames)
-    rows, cols = frames[:, None], frames[None, :]
-    return (cols >= rows - left) & (cols <= rows + right)
+    ``i - left <= j <= i + right``, written one diagonal at a time."""
+    mask = np.zeros((num_frames, num_frames), dtype=bool)
+    flat = mask.reshape(-1)
+    step = num_frames + 1
+    for offset in range(max(-left, 1 - num_frames), min(right, num_frames - 1) + 1):
+        # entries (i, i + offset): flat index i * step + offset
+        if offset >= 0:
+            flat[offset : (num_frames - offset) * num_frames : step] = True
+        else:
+            flat[-offset * num_frames :: step] = True
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +332,8 @@ class EncoderModel:
                     groups.append(AdapterGroup(down, up))
                 self.adapter_banks.append(AdapterBank(groups))
         self._params = make.named
+        self._positions = positional_encoding(0, fe.stacked_dim, dtype)
+        self._positions.flags.writeable = False
 
     # -- parameter access ---------------------------------------------------
 
@@ -343,6 +352,19 @@ class EncoderModel:
             moe.reset_evaluations()
 
     # -- forward -------------------------------------------------------------
+
+    def position_table(self, num_frames: int) -> Array:
+        """``positional_encoding(num_frames, ...)`` for this model's input, as
+        a read-only slice of one table that grows (at least doubling) when a
+        longer input arrives. Its rows do not depend on the table's length,
+        so a slice equals the direct computation bit for bit."""
+        table = self._positions
+        if num_frames > table.shape[0]:
+            table = positional_encoding(max(num_frames, 2 * table.shape[0]),
+                                        table.shape[1], self.dtype)
+            table.flags.writeable = False
+            self._positions = table
+        return table[:num_frames]
 
     def forward(self, features, mode: str = "cascaded", language_ids=None):
         """Encode raw features.
@@ -366,7 +388,7 @@ class EncoderModel:
         fe = self.config.frontend
         stacked = frame_stack(feats, fe.stack, fe.downsample)
         t = stacked.shape[1]
-        x = Tensor(stacked + positional_encoding(t, stacked.shape[-1], self.dtype))
+        x = Tensor(stacked + self.position_table(t))
 
         x = self.input_proj(x)
         for w, b in self.input_convs:

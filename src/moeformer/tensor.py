@@ -608,6 +608,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # convolution and attention
 
 
+def _pad_frames_before(x: Array, count: int) -> Array:
+    """(B, T, C) ``x`` after ``count`` zero frames, in one slice copy."""
+    out = np.zeros((x.shape[0], x.shape[1] + count, x.shape[2]), dtype=x.dtype)
+    out[:, count:] = x
+    return out
+
+
 def causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-channel 1-D convolution over time, left-padded so frame t sees only <= t.
 
@@ -624,7 +631,7 @@ def causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"do not match input {x.shape}"
         )
     b, t, _ = x.shape
-    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+    xp = _pad_frames_before(x.data, k - 1)
     data = np.zeros(x.shape, np.result_type(x.data, weight.data, bias.data))
     data += bias.data
     scratch = np.empty_like(data)
@@ -675,7 +682,7 @@ def causal_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"input {x.shape}"
         )
     b, t, _ = x.shape
-    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+    xp = _pad_frames_before(x.data, k - 1)
 
     def taps():
         # tap j's frames as (batch*frames, in_channels) rows, in one buffer
@@ -725,13 +732,17 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
     ``left``/``right`` the farthest any row reaches behind/ahead of itself
     and ``W = left + right + 1``, the queries go in blocks of W rows and
     block n scores keys [nW - left, nW + W + right), zero-padded at both
-    ends: T * (W + left + right) pairs instead of T^2. Each block's mask is
-    gathered from ``mask`` itself, so a mask that is not a band stays exact.
-    When T <= W the band is the whole matrix: one block, keys [0, T), no
-    padding. Past that every block has the same shape whatever T is, and
+    ends, as one GEMM per block. Row r of a block can reach only keys
+    [r, r + W) of it, its window, so the weighted sum over keys runs over
+    the window alone (a padding query row attends its whole window, so that
+    its softmax stays finite; its output is dropped, its gradient zero). Each window's
+    mask is gathered from ``mask`` itself, so a mask that is not a band stays
+    exact. When T <= W the band is the whole matrix: one block, keys [0, T),
+    no padding. Past that every block has the same shape whatever T is, and
     the sums over keys (output and softmax normalizer, one contraction) run
     in key order, so frames already emitted stay bit-identical when the
-    sequence grows, across the one-block / many-block boundary too.
+    sequence grows, across the one-block / many-block boundary too: keys
+    outside a row's window would add exact zeros in order.
     """
     if q.ndim != 4 or q.shape != k.shape or q.shape != v.shape:
         raise ParameterError(
@@ -741,20 +752,22 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
     b, h, t, dh = q.shape
     if mask.shape != (t, t):
         raise ParameterError(f"masked_attention: mask must be ({t}, {t}), got {mask.shape}")
-    if not mask.any(axis=1).all():
-        raise ParameterError("masked_attention: some query attends to nothing")
-    # first and last allowed key of each row (argmax needs at least one key)
+    # first and last allowed key of each row (argmax needs at least one key);
+    # a row with none has its argmax at a False entry
     frames = np.arange(t)
     first = mask.argmax(axis=1) if t else frames
+    if not mask[frames, first].all():
+        raise ParameterError("masked_attention: some query attends to nothing")
     last = t - 1 - np.ascontiguousarray(mask[:, ::-1]).argmax(axis=1) if t else frames
     left = int((frames - first).max(initial=0))
     right = int((last - frames).max(initial=0))
     w = left + right + 1
     # blocks, rows per block, padding keys before the first row, keys per block
-    if t > w:
-        n, pad, span = -(-t // w), left, 2 * w - 1
-    else:
+    one_block = t <= w
+    if one_block:
         n, w, pad, span = 1, t, 0, t
+    else:
+        n, pad, span = -(-t // w), left, 2 * w - 1
     rows, cols = n * w, (n - 1) * w + span  # padded query and key frames
 
     def pad_frames(x: Array, before: int, total: int) -> Array:
@@ -764,64 +777,86 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Array) -> Tensor:
         out[:, :, before : before + t] = x
         return out
 
-    def diagonal_blocks(x: Array, shape, axis: int) -> Array:
-        # view whose block i starts w frames after block i-1 along ``axis``;
-        # axis 0 steps a (rows, cols) mask down its diagonal
-        if n == 1:
-            return np.expand_dims(x, axis)
+    def query_blocks(x: Array) -> Array:
+        return pad_frames(x, 0, rows).reshape(b, h, n, w, dh)
+
+    def key_blocks(x: Array) -> Array:
+        # view whose block i starts w frames after block i-1
+        x = pad_frames(x, pad, cols)
+        if one_block:
+            return x[:, :, None]
         s = x.strides
-        step = w * (s[0] + s[1]) if axis == 0 else w * s[axis]
-        return as_strided(x, shape, s[:axis] + (step,) + s[axis:], writeable=False)
+        return as_strided(x, (b, h, n, span, dh), s[:2] + (w * s[2],) + s[2:],
+                          writeable=False)
 
     def unblock(gx: Array) -> Array:
         # gx holds per-block key gradients; block i's key j is padded frame
         # i*w + j, so every key sits in two neighbouring blocks: one add each
-        if n == 1:
+        if one_block:
             return gx[:, :, 0]
         out = np.zeros((b, h, n + 1, w, dh), dtype=gx.dtype)
         out[:, :, :n] += gx[:, :, :, :w]
         out[:, :, 1:, : w - 1] += gx[:, :, :, w:]
         return out.reshape(b, h, -1, dh)[:, :, pad : pad + t]
 
-    qb = pad_frames(q.data, 0, rows).reshape(b, h, n, w, dh)
-    kb = diagonal_blocks(pad_frames(k.data, pad, cols), (b, h, n, span, dh), 2)
-    # values carry a column of ones, so the one contraction over keys also
-    # yields each row's softmax normalizer, summed in the same key order;
-    # padding keys get weight exactly 0, so their (unit) values never count
-    values = np.ones((b, h, cols, dh + 1), dtype=v.dtype)
-    values[:, :, pad : pad + t, :dh] = v.data
-    vb = diagonal_blocks(values, (b, h, n, span, dh + 1), 2)
-    # padding query rows attend to their whole block so that their softmax
-    # stays finite; their outputs are dropped and their gradients are zero
-    padded = np.ones((rows, cols), dtype=bool)
-    padded[:t] = False
-    padded[:t, pad : pad + t] = mask
-    allowed = diagonal_blocks(padded, (n, w, span), 0)
+    # (n, w, span) 0 where a score is attended, -inf elsewhere: one gather
+    # from ``mask`` over the windows, for real query rows and real keys
+    dtype = np.result_type(q.data, k.data)
+    if one_block:
+        shut = np.where(mask, 0.0, -np.inf).astype(dtype)
+    else:
+        shut = np.full((n, w, span), -np.inf, dtype)
+        query = np.arange(rows).reshape(n, w, 1)
+        key = query - left + np.arange(w)
+        seen = np.take(mask, (query * t + key).clip(0, t * t - 1))
+        seen &= (key >= 0) & (key < t)
+        seen |= query >= t
+        s = shut.strides
+        window = as_strided(shut, (n, w, w), (s[0], s[1] + s[2], s[2]))
+        np.copyto(window, 0.0, where=seen)
 
     inv = float(1.0 / np.sqrt(dh))
-    scores = np.matmul(qb, np.swapaxes(kb, -1, -2)) * inv
-    filled = np.where(allowed, scores, -np.inf)
-    e = np.exp(filled - filled.max(axis=-1, keepdims=True, initial=-np.inf))
-    # einsum sums over keys in order, so keys a row may not see (padding, or
-    # frames a longer sequence adds) contribute exact zeros wherever they sit
-    weighted = np.einsum("bhnwk,bhnkd->bhnwd", e, vb)
-    norm = weighted[..., dh:]
+    # scale, fill, shift and exponentiate in the GEMM's own buffer; adding
+    # +0.0 changes only a -0.0 score, to +0.0, and the shift makes either
+    # one a zero that exp maps to 1: the weights of filling with -inf
+    e = np.matmul(query_blocks(q.data), np.swapaxes(key_blocks(k.data), -1, -2))
+    e *= inv
+    e += shut
+    e -= e.max(axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(e, out=e)
+    # values carry a column of ones, so the one contraction over keys also
+    # yields each row's softmax normalizer, summed in the same key order
+    values = np.ones((b, h, cols, dh + 1), dtype=v.dtype)
+    values[:, :, pad : pad + t, :dh] = v.data
+    if one_block:
+        weighted = np.einsum("bhnwk,bhnkd->bhnwd", e, values[:, :, None])
+    else:
+        # row r's keys [r, r + w) of its block: a diagonal view of the
+        # weights and an overlapping view of the values
+        s, sv = e.strides, values.strides
+        diag = as_strided(e, (b, h, n, w, w), s[:3] + (s[3] + s[4], s[4]), writeable=False)
+        win = as_strided(values, (b, h, n, w, w, dh + 1),
+                         sv[:2] + (w * sv[2], sv[2], sv[2], sv[3]), writeable=False)
+        weighted = np.einsum("bhnwj,bhnwjd->bhnwd", diag, win)
+    norm = weighted[..., dh:].copy()
     data = (weighted[..., :dh] / norm).reshape(b, h, rows, dh)[:, :, :t]
     _tally(2 * b * h * dh * np.count_nonzero(mask))
 
     def backward(g: Array) -> None:
+        # the blocks are rebuilt from the parents: the tape keeps only the
+        # weights and their normalizer
         gb = pad_frames(g, 0, rows).reshape(b, h, n, w, dh)
         p = e / norm
         if v.requires_grad:
             _accum(v, unblock(np.matmul(np.swapaxes(p, -1, -2), gb)))
         if q.requires_grad or k.requires_grad:
-            gp = np.matmul(gb, np.swapaxes(vb[..., :dh], -1, -2))
+            gp = np.matmul(gb, np.swapaxes(key_blocks(v.data), -1, -2))
             inner = (gp * p).sum(axis=-1, keepdims=True)
             gs = p * (gp - inner) * inv
             if q.requires_grad:
-                _accum(q, np.matmul(gs, kb).reshape(b, h, rows, dh)[:, :, :t])
+                _accum(q, np.matmul(gs, key_blocks(k.data)).reshape(b, h, rows, dh)[:, :, :t])
             if k.requires_grad:
-                _accum(k, unblock(np.matmul(np.swapaxes(gs, -1, -2), qb)))
+                _accum(k, unblock(np.matmul(np.swapaxes(gs, -1, -2), query_blocks(q.data))))
 
     return _make(data, (q, k, v), backward)
 

@@ -4,7 +4,7 @@ Everything here is written against raw arrays, deliberately sharing no code
 with the package's graph ops, except ``dense_moe_forward``,
 ``per_group_adapters``, ``padded_slice_axis``, ``batched_matmul``, the
 broadcasting ``broadcast_add`` / ``broadcast_mul`` and the composite ops
-(``sigmoid_node`` through ``causal_conv``): those are built from tensor ops
+(``sigmoid_node`` through ``banded_attention``): those are built from tensor ops
 so that a graph using them still backpropagates.
 """
 
@@ -112,6 +112,14 @@ def layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def positional_encoding(num_frames: int, dim: int, dtype) -> np.ndarray:
+    """The sinusoidal table computed for exactly ``num_frames`` rows."""
+    pos = np.arange(num_frames, dtype=np.float64)[:, None]
+    i = np.arange(dim, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, (2 * (i // 2)) / max(dim, 1))
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
 
 
 def attention_window_mask(t: int, left: int, right: int) -> np.ndarray:
@@ -461,6 +469,81 @@ def causal_conv(x, weight, bias):
             T._accum(x, gxp[:, k - 1 :, :])
 
     return T._make(data, (x, weight, bias), backward)
+
+
+def banded_attention(q, k, v, mask):
+    """``tensor.masked_attention`` contracting every query row with all
+    2W - 1 keys of its block, from a padded (rows, cols) copy of ``mask``,
+    and keeping every block operand for the backward."""
+    b, h, t, dh = q.shape
+    frames = np.arange(t)
+    first = mask.argmax(axis=1) if t else frames
+    last = t - 1 - np.ascontiguousarray(mask[:, ::-1]).argmax(axis=1) if t else frames
+    left = int((frames - first).max(initial=0))
+    right = int((last - frames).max(initial=0))
+    w = left + right + 1
+    if t > w:
+        n, pad, span = -(-t // w), left, 2 * w - 1
+    else:
+        n, w, pad, span = 1, t, 0, t
+    rows, cols = n * w, (n - 1) * w + span
+
+    def pad_frames(x, before, total):
+        if total == t:
+            return x
+        out = np.zeros((b, h, total, dh), dtype=x.dtype)
+        out[:, :, before : before + t] = x
+        return out
+
+    def diagonal_blocks(x, shape, axis):
+        if n == 1:
+            return np.expand_dims(x, axis)
+        s = x.strides
+        step = w * (s[0] + s[1]) if axis == 0 else w * s[axis]
+        return np.lib.stride_tricks.as_strided(x, shape, s[:axis] + (step,) + s[axis:],
+                                               writeable=False)
+
+    def unblock(gx):
+        if n == 1:
+            return gx[:, :, 0]
+        out = np.zeros((b, h, n + 1, w, dh), dtype=gx.dtype)
+        out[:, :, :n] += gx[:, :, :, :w]
+        out[:, :, 1:, : w - 1] += gx[:, :, :, w:]
+        return out.reshape(b, h, -1, dh)[:, :, pad : pad + t]
+
+    qb = pad_frames(q.data, 0, rows).reshape(b, h, n, w, dh)
+    kb = diagonal_blocks(pad_frames(k.data, pad, cols), (b, h, n, span, dh), 2)
+    values = np.ones((b, h, cols, dh + 1), dtype=v.dtype)
+    values[:, :, pad : pad + t, :dh] = v.data
+    vb = diagonal_blocks(values, (b, h, n, span, dh + 1), 2)
+    padded = np.ones((rows, cols), dtype=bool)
+    padded[:t] = False
+    padded[:t, pad : pad + t] = mask
+    allowed = diagonal_blocks(padded, (n, w, span), 0)
+
+    inv = float(1.0 / np.sqrt(dh))
+    scores = np.matmul(qb, np.swapaxes(kb, -1, -2)) * inv
+    filled = np.where(allowed, scores, -np.inf)
+    e = np.exp(filled - filled.max(axis=-1, keepdims=True, initial=-np.inf))
+    weighted = np.einsum("bhnwk,bhnkd->bhnwd", e, vb)
+    norm = weighted[..., dh:]
+    data = (weighted[..., :dh] / norm).reshape(b, h, rows, dh)[:, :, :t]
+
+    def backward(g):
+        gb = pad_frames(g, 0, rows).reshape(b, h, n, w, dh)
+        p = e / norm
+        if v.requires_grad:
+            T._accum(v, unblock(np.matmul(np.swapaxes(p, -1, -2), gb)))
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(gb, np.swapaxes(vb[..., :dh], -1, -2))
+            inner = (gp * p).sum(axis=-1, keepdims=True)
+            gs = p * (gp - inner) * inv
+            if q.requires_grad:
+                T._accum(q, np.matmul(gs, kb).reshape(b, h, rows, dh)[:, :, :t])
+            if k.requires_grad:
+                T._accum(k, unblock(np.matmul(np.swapaxes(gs, -1, -2), qb)))
+
+    return T._make(data, (q, k, v), backward)
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,24 @@ def test_non_finite_weights_are_refused(tmp_path, value):
         load_checkpoint(path)
 
 
+def test_float64_value_that_float32_rounds_is_refused(tmp_path):
+    # 0.1 has no float32 form: saving it used to round it without a word
+    path = tmp_path / "model.ckpt"
+    weights = [("a", np.zeros(3)), ("head.w", np.array([[0.5, 0.1]]))]
+    with pytest.raises(CheckpointError, match="'head.w' \\(float64\\) does not fit float32"):
+        save_checkpoint(weights, path)
+    assert not path.exists()
+
+
+def test_float64_values_that_float32_holds_save_exactly(tmp_path):
+    path = tmp_path / "model.ckpt"
+    exact = np.array([[0.5, -0.0, 3.0, 2.0 ** -20]])
+    save_checkpoint([("head.w", exact)], path)
+    tensors, _, _ = load_checkpoint(path)
+    assert tensors["head.w"].dtype == np.float32
+    assert tensors["head.w"].astype(np.float64).tobytes() == exact.tobytes()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

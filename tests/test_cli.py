@@ -524,6 +524,18 @@ def test_out_of_range_training_value_is_refused_before_training(tmp_path, capsys
     _single_line_error(capsys, key.split(".")[1])
 
 
+def test_float64_training_with_an_output_directory_is_refused_before_training(
+        tmp_path, capsys, monkeypatch):
+    # its checkpoint would round every weight to float32
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    config = _config(tmp_path / "f64.cfg", {"train.dtype": "float64"})
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--out", str(out)])
+    assert code == 1 and calls == [] and not out.exists()
+    _single_line_error(capsys, "train.dtype=float64", "--out")
+
+
 def test_encoder_without_causal_stack_trains_and_evaluates_from_its_echo(tmp_path, capsys):
     # an empty causal stack once dropped causal_dims from the checkpoint's echo
     keep = [line for line in QUICK.read_text().splitlines()

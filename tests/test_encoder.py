@@ -1,6 +1,7 @@
 """Encoder tests: frontend contracts, layer oracle equivalence, streaming
 causality, right-context budgets, adapters, and build determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from moeformer.encoder import (
     frame_stack,
 )
 from moeformer.training import build_model
-from moeformer.tensor import Tensor, mean
+from moeformer.tensor import Tensor, mean, no_grad
 
 import oracles
 from geometry import encoder_of
@@ -188,6 +189,60 @@ def test_cascaded_right_context_budget_exact():
     ]
     assert safe
     np.testing.assert_array_equal(base.data[: len(safe)], out.data[: len(safe)])
+
+
+def test_cascaded_stream_at_the_benchmark_geometry_is_exact():
+    # a 2000-frame utterance in 160-frame chunks, each re-encoding its
+    # prefix: attention runs over many blocks (500 frames at the layers)
+    # and every emitted frame equals the full forward bit for bit
+    cfg = encoder_of("balance")
+    model = build_encoder(cfg, seed=17)
+    rng = np.random.default_rng(18)
+    for moe in model.moe_layers():
+        moe.gate_w.data[...] = rng.standard_normal(moe.gate_w.shape)
+    raw = rng.standard_normal((2000, cfg.frontend.feature_dim)).astype(np.float32)
+    hold = cfg.right_context_total
+    with no_grad():
+        full, _ = model.forward(raw)
+        emitted = 0
+        for end in range(160, 2000, 160):
+            out, _ = model.forward(raw[:end])
+            final = out.shape[0] - hold
+            np.testing.assert_array_equal(out.data[emitted:final], full.data[emitted:final])
+            emitted = max(emitted, final)
+    assert emitted == 474  # of 500; the last chunk is the full forward
+
+
+def test_a_tape_recording_long_forward_holds_less_than_the_banded_ops_did():
+    # the attention nodes keep their weights and normalizer, not the padded
+    # operand blocks: a 2000-frame forward held 84.5 MB with them, 80.0 MB
+    # without
+    cfg = encoder_of("balance")
+    model = build_encoder(cfg, seed=19)
+    raw = np.random.default_rng(20).standard_normal(
+        (2000, cfg.frontend.feature_dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, _ = model.forward(raw)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < 82 * 2**20, held / 2**20
+
+
+def test_position_table_slices_equal_the_direct_formula():
+    rng = np.random.default_rng(21)
+    for dtype in (np.float32, np.float64):
+        model = build_encoder(TWO_CAUSAL, seed=22, dtype=dtype)
+        width = TWO_CAUSAL.frontend.stacked_dim
+        for t in [0, *rng.permutation(1201)]:  # 0 first: the table as built
+            table = model.position_table(int(t))
+            want = oracles.positional_encoding(int(t), width, dtype)
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes(), t
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def test_streaming_invariants_random_configs():

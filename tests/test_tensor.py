@@ -251,6 +251,38 @@ def test_masked_attention_matches_dense_oracle():
                                    rtol=0, atol=1e-12)
 
 
+def _holed_band(rng, t, left, right):
+    """The band with about half its pairs removed, every row keeping one."""
+    mask = _band(t, left, right) & (rng.random((t, t)) < 0.5)
+    mask[np.arange(t), np.arange(t)] |= ~mask.any(axis=1)
+    return mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_attention_matches_banded_oracle_bit_for_bit(dtype):
+    # forward and q/k/v gradients, sign of zero included, against the op that
+    # contracted each row with all 2W - 1 keys of its block; T runs across
+    # the one-block / many-block boundary of every window
+    rng = np.random.default_rng(62)
+    for t in (5, 19, 20, 37, 38, 39, 40, 77, 100):
+        for left, right in ((16, 2), (16, 0), (5, 2), (3, 3)):
+            for batch in (1, 3):
+                for mask in (_band(t, left, right), _holed_band(rng, t, left, right)):
+                    inputs = [_with_signed_zeros(rng, (batch, 2, t, 16), dtype)
+                              for _ in range(3)]
+                    upstream = _with_signed_zeros(rng, (batch, 2, t, 16), dtype)
+                    results = []
+                    for fn in (masked_attention, oracles.banded_attention):
+                        leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+                        out = fn(*leaves, mask)
+                        sum_(out * Tensor(upstream)).backward()
+                        results.append([out.data] + [p.grad for p in leaves])
+                    for got, want in zip(*results):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (t, left, right, batch)
+                        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_forward_ops_stay_finite():
     rng = np.random.default_rng(23)
     for _ in range(10):
